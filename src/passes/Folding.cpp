@@ -9,18 +9,101 @@
 
 using namespace jitvs;
 
+namespace {
+/// Every op evaluatePureInstr folds takes one or two operands.
+constexpr size_t MaxFoldOperands = 2;
+} // namespace
+
+// Must list exactly the ops (and sub-ops) evaluatePureInstr's switch
+// below evaluates: loop inversion's gate trusts it to predict DCE.
+bool jitvs::isFoldableOp(const MInstr *I) {
+  if (I->numOperands() == 0 || I->numOperands() > MaxFoldOperands)
+    return false;
+  switch (I->op()) {
+  case MirOp::AddI:
+  case MirOp::AddD:
+  case MirOp::SubI:
+  case MirOp::SubD:
+  case MirOp::MulI:
+  case MirOp::MulD:
+  case MirOp::DivD:
+  case MirOp::ModI:
+  case MirOp::ModD:
+  case MirOp::NegI:
+  case MirOp::NegD:
+  case MirOp::BitAnd:
+  case MirOp::BitOr:
+  case MirOp::BitXor:
+  case MirOp::Shl:
+  case MirOp::Shr:
+  case MirOp::UShr:
+  case MirOp::BitNot:
+  case MirOp::TruncateToInt32:
+  case MirOp::ToDouble:
+  case MirOp::Not:
+  case MirOp::Concat:
+  case MirOp::TypeOf:
+  case MirOp::Unbox:
+  case MirOp::TypeBarrier:
+  case MirOp::StringLength:
+  case MirOp::CharCodeAt:
+  case MirOp::FromCharCode:
+  case MirOp::MathFunction:
+    return true;
+  case MirOp::GenericBinop:
+    switch (static_cast<Op>(I->AuxA)) {
+    case Op::Add:
+    case Op::Sub:
+    case Op::Mul:
+    case Op::Div:
+    case Op::Mod:
+      return true;
+    default:
+      return false;
+    }
+  case MirOp::GenericUnop: {
+    Op O = static_cast<Op>(I->AuxA);
+    return O == Op::Neg || O == Op::Pos;
+  }
+  case MirOp::CompareI:
+  case MirOp::CompareD:
+  case MirOp::CompareS:
+  case MirOp::CompareGeneric:
+    switch (static_cast<Op>(I->AuxA)) {
+    case Op::Lt:
+    case Op::Le:
+    case Op::Gt:
+    case Op::Ge:
+    case Op::Eq:
+    case Op::Ne:
+    case Op::StrictEq:
+    case Op::StrictNe:
+      return true;
+    default:
+      return false;
+    }
+  default:
+    return false;
+  }
+}
+
 std::optional<Value> jitvs::evaluatePureInstr(
     const MInstr *I, Runtime &RT,
     const std::function<std::optional<Value>(const MInstr *)>
         &OperandValue) {
-  // Gather operand values up front; bail out when any is unavailable.
-  auto Get = [&](size_t Idx) { return OperandValue(I->operand(Idx)); };
-  auto C = [&](size_t Idx) { return *OperandValue(I->operand(Idx)); };
-  for (size_t Idx = 0, E = I->numOperands(); Idx != E; ++Idx)
-    if (!Get(Idx))
-      return std::nullopt;
-  if (I->numOperands() == 0)
+  if (!isFoldableOp(I))
     return std::nullopt;
+  // Evaluate each operand exactly once, up front: under
+  // evaluateToConstant's recursion every extra call re-walks the whole
+  // operand chain below it. Bail out when any operand is unavailable.
+  Value Operands[MaxFoldOperands];
+  for (size_t Idx = 0, E = I->numOperands(); Idx != E; ++Idx) {
+    std::optional<Value> V = OperandValue(I->operand(Idx));
+    if (!V)
+      return std::nullopt;
+    Operands[Idx] = *V;
+  }
+  auto C = [&](size_t Idx) -> const Value & { return Operands[Idx]; };
 
   std::optional<Value> Result;
   switch (I->op()) {
@@ -152,7 +235,12 @@ std::optional<Value> jitvs::evaluatePureInstr(
     Result = RT.genericAdd(C(0), C(1));
     break;
   case MirOp::TypeOf:
-    Result = RT.typeOfValue(C(0));
+    // A fresh string rather than the runtime's typeof cache: a compile
+    // worker donates everything it allocated during one compile to the
+    // main heap (or frees it with a discarded compile), so a cached
+    // string would leave the worker with a dangling pointer that later
+    // compiles bake into their code.
+    Result = RT.newStringValue(C(0).typeOfString());
     break;
 
   case MirOp::Unbox: {

@@ -3,13 +3,29 @@
 /// \file
 /// Section 3.4: replaces a while loop (test at the header) by a repeat
 /// loop (test at the latch) plus a wrapping conditional that protects the
-/// zero-iteration case. Under parameter specialization the wrapper's
-/// condition is frequently constant, so a subsequent dead-code
-/// elimination removes it — "our parameter specialization often lets us
-/// know, at code generation time, that a loop will be executed at least
-/// once". When the loop has an OSR predecessor, the OSR edge is
-/// retargeted into the rotated body through a shim block, exactly as in
-/// the paper's Figure 7(c).
+/// zero-iteration case. When the loop has an OSR predecessor, the OSR
+/// edge is retargeted into the rotated body through a shim block, exactly
+/// as in the paper's Figure 7(c).
+///
+/// The paper's only argument for the rotation is that parameter
+/// specialization makes the wrapper's condition constant, so dead-code
+/// elimination removes it (Section 3.5) — "our parameter specialization
+/// often lets us know, at code generation time, that a loop will be
+/// executed at least once". A rotation whose wrapper survives buys
+/// nothing and costs a duplicated test, extra phis and register
+/// pressure. So a loop is rotated only when its wrapper folds: its
+/// condition, read over the loop-entry values (each header phi's
+/// preheader operand), must be a chain that DCE's evaluateToConstant
+/// evaluates — every leaf a Constant, every inner node a pure op
+/// evaluatePureInstr folds, at most 8 levels deep. The gate is
+/// structural and needs no Runtime, so runLoopInversion keeps its
+/// graph-only signature; the rare chain that still declines to fold
+/// (e.g. an Unbox of a wrongly typed constant) keeps its wrapper.
+///
+/// The gate is decided for every loop from one dominator/loop analysis
+/// before any mutation. Rotating an inner loop restructures the blocks
+/// an enclosing loop's analysis refers to, so the graph is re-analysed
+/// after a successful rotation, and only while admitted loops remain.
 ///
 /// Shape requirements (loops that do not match are left alone):
 ///   - single latch ending in an unconditional Goto to the header;
@@ -23,9 +39,9 @@
 #include "passes/Passes.h"
 
 #include "mir/Dominators.h"
+#include "passes/Folding.h"
 
 #include <algorithm>
-
 #include <unordered_map>
 #include <unordered_set>
 
@@ -68,6 +84,45 @@ void cloneHeaderBody(MIRGraph &Graph, MBasicBlock *Header, MBasicBlock *Dest,
     Subst[I] = Clone;
     CloneSet.insert(Clone);
   }
+}
+
+/// Whether \p Def, read at loop entry, is a chain evaluateToConstant
+/// folds within \p Depth levels. A header phi of \p Header stands for
+/// its preheader operand \p PreIdx, as in the wrapper's clone.
+bool foldsAtEntry(const MInstr *Def, const MBasicBlock *Header,
+                  size_t PreIdx, unsigned Depth) {
+  if (Def->isPhi() && Def->block() == Header)
+    Def = Def->operand(PreIdx);
+  if (Def->op() == MirOp::Constant)
+    return true;
+  if (Depth == 0 || !isFoldableOp(Def))
+    return false;
+  for (size_t Idx = 0, E = Def->numOperands(); Idx != E; ++Idx)
+    if (!foldsAtEntry(Def->operand(Idx), Header, PreIdx, Depth - 1))
+      return false;
+  return true;
+}
+
+/// The Section 3.4 gate: \p Loop's header ends in a Test whose
+/// condition folds over the loop-entry values, so DCE will remove the
+/// wrapper a rotation creates.
+bool wrapperFolds(const MIRGraph &Graph, const NaturalLoop &Loop) {
+  const MBasicBlock *H = Loop.Header;
+  const MInstr *T = H->terminator();
+  if (!T || T->op() != MirOp::Test)
+    return false;
+  const MBasicBlock *Pre = nullptr;
+  for (const MBasicBlock *P : H->predecessors()) {
+    if (P == Graph.osrBlock() ||
+        std::find(Loop.BackEdgePreds.begin(), Loop.BackEdgePreds.end(), P) !=
+            Loop.BackEdgePreds.end())
+      continue;
+    if (Pre)
+      return false;
+    Pre = P;
+  }
+  return Pre && foldsAtEntry(T->operand(0), H, H->indexOfPredecessor(Pre),
+                             MaxFoldDepth);
 }
 
 bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
@@ -152,7 +207,10 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   if (OsrShim)
     Exit->addPredecessor(OsrShim);
 
-  // --- 2. Create the rotated-loop phis (operands filled later). ---
+  // --- 2. Create the rotated-loop merges (phi operands filled later).
+  // A header constant is copied to the top of Body and Exit instead:
+  // merging its three identical clones in a phi would hide the value
+  // from an inner loop whose (already rotated) wrapper reads it.
   std::vector<MInstr *> HeaderDefs;
   for (MInstr *Phi : HeaderPhis)
     HeaderDefs.push_back(Phi);
@@ -160,14 +218,21 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
     if (!I->isControl())
       HeaderDefs.push_back(I);
 
-  SubstMap BodyPhiOf, ExitPhiOf;
+  auto MergeIn = [&Graph](MInstr *D, MBasicBlock *B) {
+    if (D->op() == MirOp::Constant) {
+      MInstr *C = Graph.create(MirOp::Constant, D->type());
+      C->ConstVal = D->ConstVal;
+      B->insertBefore(B->instructions().front(), C);
+      return C;
+    }
+    MInstr *Phi = Graph.create(MirOp::Phi, D->type());
+    B->addPhi(Phi);
+    return Phi;
+  };
+  SubstMap BodyDefOf, ExitDefOf;
   for (MInstr *D : HeaderDefs) {
-    MInstr *BP = Graph.create(MirOp::Phi, D->type());
-    Body->addPhi(BP);
-    BodyPhiOf[D] = BP;
-    MInstr *XP = Graph.create(MirOp::Phi, D->type());
-    Exit->addPhi(XP);
-    ExitPhiOf[D] = XP;
+    BodyDefOf[D] = MergeIn(D, Body);
+    ExitDefOf[D] = MergeIn(D, Exit);
   }
 
   // --- 3. Clone the header computation three ways. ---
@@ -185,9 +250,9 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   for (MInstr *Phi : HeaderPhis) {
     MInstr *Back = Phi->operand(LatchIdx);
     if (Back->isPhi() && Back->block() == H)
-      LSubst[Phi] = BodyPhiOf[Back];
+      LSubst[Phi] = BodyDefOf[Back];
     else if (Back == Phi)
-      LSubst[Phi] = BodyPhiOf[Phi];
+      LSubst[Phi] = BodyDefOf[Phi];
     else
       LSubst[Phi] = Back;
   }
@@ -204,12 +269,14 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
 
   // --- 4. Fill the phi operands (pred order: W, Latch, OsrShim). ---
   for (MInstr *D : HeaderDefs) {
-    MInstr *BP = BodyPhiOf[D];
+    if (D->op() == MirOp::Constant)
+      continue;
+    MInstr *BP = BodyDefOf[D];
     BP->appendOperand(mapped(WSubst, D));
     BP->appendOperand(mapped(LSubst, D));
     if (OsrShim)
       BP->appendOperand(mapped(OSubst, D));
-    MInstr *XP = ExitPhiOf[D];
+    MInstr *XP = ExitDefOf[D];
     XP->appendOperand(mapped(WSubst, D));
     XP->appendOperand(mapped(LSubst, D));
     if (OsrShim)
@@ -222,7 +289,7 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
   std::unordered_set<MBasicBlock *> LoopBlocks(Loop.Body.begin(),
                                                Loop.Body.end());
   auto ReplFor = [&](MInstr *D, MBasicBlock *UseBlock) {
-    return LoopBlocks.count(UseBlock) ? BodyPhiOf[D] : ExitPhiOf[D];
+    return LoopBlocks.count(UseBlock) ? BodyDefOf[D] : ExitDefOf[D];
   };
   for (MInstr *D : HeaderDefs) {
     std::vector<MInstr::Use> Snapshot = D->uses();
@@ -294,29 +361,36 @@ bool invertLoop(MIRGraph &Graph, const NaturalLoop &Loop) {
 } // namespace
 
 void jitvs::runLoopInversion(MIRGraph &Graph) {
-  // Loop structure is re-analyzed after every successful rotation:
-  // inverting an inner loop restructures the blocks an enclosing loop's
-  // analysis referred to. Innermost (smallest-body) loops go first.
-  std::unordered_set<uint32_t> Attempted;
+  DominatorTree::build(Graph);
+  std::vector<NaturalLoop> Loops = findNaturalLoops(Graph);
+  std::unordered_set<const MBasicBlock *> Admitted;
+  for (const NaturalLoop &Loop : Loops)
+    if (wrapperFolds(Graph, Loop))
+      Admitted.insert(Loop.Header);
+
+  // Innermost (smallest-body) admitted loops go first; each is attempted
+  // once. A failed attempt leaves the graph untouched, so only a
+  // successful rotation invalidates the analysis.
   bool Changed = false;
-  while (true) {
-    DominatorTree::build(Graph);
-    std::vector<NaturalLoop> Loops = findNaturalLoops(Graph);
+  while (!Admitted.empty()) {
     std::sort(Loops.begin(), Loops.end(),
               [](const NaturalLoop &A, const NaturalLoop &B) {
                 return A.Body.size() < B.Body.size();
               });
-    const NaturalLoop *Next = nullptr;
+    bool Rotated = false;
     for (const NaturalLoop &Loop : Loops) {
-      if (Loop.Header->isDead() || Attempted.count(Loop.Header->id()))
-        continue;
-      Next = &Loop;
-      break;
+      if (Admitted.erase(Loop.Header) && invertLoop(Graph, Loop)) {
+        Rotated = true;
+        break;
+      }
     }
-    if (!Next)
+    if (!Rotated)
       break;
-    Attempted.insert(Next->Header->id());
-    Changed |= invertLoop(Graph, *Next);
+    Changed = true;
+    if (Admitted.empty())
+      break;
+    DominatorTree::build(Graph);
+    Loops = findNaturalLoops(Graph);
   }
   if (!Changed)
     return;

@@ -12,13 +12,16 @@
 #include "mir/Dominators.h"
 #include "mir/MIRBuilder.h"
 #include "mir/Verifier.h"
+#include "passes/Folding.h"
 #include "passes/Passes.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 using namespace jitvs;
 
@@ -134,13 +137,16 @@ TEST(ConstantPropagation, DoesNotFoldOverflowingInt32) {
 }
 
 TEST(LoopInversion, RotatesWhileLoop) {
+  // Specialized on n = 50, the wrapper's condition 0 < 50 folds, so the
+  // Section 3.4 gate admits the loop.
   PassTester T("function f(n) { var s = 0;"
                "  var i = 0;"
                "  while (i < n) { s += i; i++; }"
                "  return s; }"
                "for (var k = 0; k < 10; k++) f(50);");
-  auto G = T.build("f");
+  auto G = T.build("f", {Value::int32(50)});
   runGVN(*G);
+  runConstantPropagation(*G, T.RT);
   size_t TestsBefore = countOps(*G, MirOp::Test);
   runLoopInversion(*G);
   // Rotation duplicates the loop test: wrapper + latch.
@@ -152,6 +158,47 @@ TEST(LoopInversion, RotatesWhileLoop) {
       continue;
     ASSERT_NE(B->terminator(), nullptr);
     EXPECT_TRUE(B->terminator()->isControl());
+  }
+}
+
+TEST(LoopInversion, SkipsLoopWhoseWrapperDoesNotFold) {
+  // Generic n: the wrapper's condition 0 < n is not a constant, DCE
+  // could not remove it, so the loop keeps its header test.
+  PassTester T("function f(n) { var s = 0;"
+               "  var i = 0;"
+               "  while (i < n) { s += i; i++; }"
+               "  return s; }"
+               "for (var k = 0; k < 10; k++) f(50);");
+  auto G = T.build("f");
+  runGVN(*G);
+  runConstantPropagation(*G, T.RT);
+  size_t TestsBefore = countOps(*G, MirOp::Test);
+  runLoopInversion(*G);
+  EXPECT_EQ(countOps(*G, MirOp::Test), TestsBefore);
+}
+
+TEST(LoopInversion, NestedLoopsRotateOnlyWhereTheWrapperFolds) {
+  // Generic parameter bounds never fold; literal bounds always do. In
+  // each nest exactly one of the two loops rotates, adding one Test.
+  PassTester T("function inner(n) { var s = 0;"
+               "  for (var i = 0; i < n; i++)"
+               "    for (var j = 0; j < 4; j++) s += j;"
+               "  return s; }"
+               "function outer(n) { var s = 0;"
+               "  for (var i = 0; i < 4; i++)"
+               "    for (var j = 0; j < n; j++) s += j;"
+               "  return s; }"
+               "for (var k = 0; k < 10; k++) { inner(k); outer(k); }");
+  for (const char *Name : {"inner", "outer"}) {
+    auto G = T.build(Name);
+    runGVN(*G);
+    runConstantPropagation(*G, T.RT);
+    ASSERT_EQ(countOps(*G, MirOp::Test), 2u) << Name;
+    runLoopInversion(*G);
+    EXPECT_EQ(countOps(*G, MirOp::Test), 3u) << Name;
+    EXPECT_EQ(verifyGraph(*G), "") << Name;
+    runDeadCodeElimination(*G, T.RT);
+    EXPECT_EQ(countOps(*G, MirOp::Test), 2u) << Name;
   }
 }
 
@@ -185,6 +232,66 @@ TEST(DeadCodeElim, RemovesWrappingConditional) {
   // remains.
   EXPECT_EQ(countOps(*G, MirOp::Test), 1u);
   EXPECT_LE(G->numBlocks(), BlocksBefore);
+}
+
+/// Records each function's first call arguments: the values the paper
+/// policy specializes a function on.
+struct FirstArgs final : CallObserver {
+  void recordCall(FunctionInfo *Callee, const Value *Args,
+                  size_t NumArgs) override {
+    ByFunction.try_emplace(Callee, Args, Args + NumArgs);
+  }
+  std::unordered_map<FunctionInfo *, std::vector<Value>> ByFunction;
+};
+
+TEST(DeadCodeElim, RemovesEveryAdmittedWrapperOnSuiteKernels) {
+  // Loop inversion only rotates loops whose wrapper folds, so after
+  // GVN -> CP -> LI -> DCE no Test survives that the pipeline without LI
+  // would not also have: every wrapper LI created was removed. Checked
+  // on every function of every suite program, generic and specialized
+  // on its first call's arguments.
+  size_t Rotated = 0;
+  for (const Workload &W : allWorkloads()) {
+    Runtime RT;
+    // Recorded arguments must neither move nor die before the builds.
+    RT.heap().setNurseryEnabled(false);
+    RT.heap().setGCThreshold(SIZE_MAX);
+    FirstArgs Observed;
+    RT.setCallObserver(&Observed);
+    ASSERT_TRUE(RT.load(W.Source)) << W.Name;
+    RT.run();
+    ASSERT_FALSE(RT.hasError()) << W.Name << ": " << RT.errorMessage();
+    RT.setCallObserver(nullptr);
+
+    for (size_t FI = 0; FI != RT.program()->numFunctions(); ++FI) {
+      FunctionInfo *F = RT.program()->function(static_cast<uint32_t>(FI));
+      std::vector<BuildOptions> Builds(1);
+      if (auto It = Observed.ByFunction.find(F);
+          It != Observed.ByFunction.end()) {
+        Builds.emplace_back();
+        Builds.back().SpecializedArgs = It->second;
+      }
+      for (const BuildOptions &Opts : Builds) {
+        auto TestsAfter = [&](bool WithLI) {
+          auto G = buildMIR(F, Opts);
+          runGVN(*G);
+          runConstantPropagation(*G, RT);
+          size_t Before = countOps(*G, MirOp::Test);
+          if (WithLI) {
+            runLoopInversion(*G);
+            Rotated += countOps(*G, MirOp::Test) - Before;
+          }
+          runDeadCodeElimination(*G, RT);
+          return countOps(*G, MirOp::Test);
+        };
+        EXPECT_EQ(TestsAfter(true), TestsAfter(false))
+            << W.Name << ": " << F->Name
+            << (Opts.SpecializedArgs ? " (specialized)" : " (generic)");
+      }
+    }
+  }
+  // The kernels do have rotatable loops.
+  EXPECT_GT(Rotated, 0u);
 }
 
 TEST(DeadCodeElim, RemovesUnreachableBranchesUnderSpecialization) {
@@ -493,6 +600,83 @@ TEST(GVN, KeepsSignedZeroConstantsApart) {
         }
   EXPECT_TRUE(SawPos);
   EXPECT_TRUE(SawNeg);
+}
+
+/// The Return terminator of \p G's (single) return block.
+const MInstr *returnOf(const MIRGraph &G) {
+  for (const auto &B : G.blocks()) {
+    if (B->isDead())
+      continue;
+    const MInstr *T = B->terminator();
+    if (T && T->op() == MirOp::Return)
+      return T;
+  }
+  return nullptr;
+}
+
+TEST(Folding, EvaluatesEachOperandOnce) {
+  // evaluateToConstant recurses through this callback, so a second call
+  // per operand would re-walk the whole chain below it.
+  PassTester T("function f(a, b) { return a * b; }"
+               "for (var i = 0; i < 10; i++) f(6, 7);");
+  auto G = T.build("f");
+  const MInstr *Ret = returnOf(*G);
+  ASSERT_NE(Ret, nullptr);
+  const MInstr *Mul = Ret->operand(0);
+  ASSERT_EQ(Mul->numOperands(), 2u);
+  ASSERT_TRUE(isFoldableOp(Mul));
+  std::unordered_map<const MInstr *, unsigned> Calls;
+  std::optional<Value> R =
+      evaluatePureInstr(Mul, T.RT, [&](const MInstr *Operand) {
+        ++Calls[Operand];
+        return std::optional<Value>(Value::int32(6));
+      });
+  ASSERT_TRUE(R.has_value());
+  EXPECT_EQ(R->asNumber(), 36.0);
+  unsigned Total = 0;
+  for (size_t I = 0; I != Mul->numOperands(); ++I) {
+    EXPECT_GE(Calls[Mul->operand(I)], 1u);
+    Total += Calls[Mul->operand(I)];
+  }
+  EXPECT_EQ(Total, Mul->numOperands());
+
+  // An op that never folds does not evaluate its operands at all.
+  unsigned RetCalls = 0;
+  EXPECT_FALSE(evaluatePureInstr(Ret, T.RT, [&](const MInstr *) {
+                 ++RetCalls;
+                 return std::optional<Value>(Value::int32(1));
+               }).has_value());
+  EXPECT_EQ(RetCalls, 0u);
+}
+
+TEST(Folding, TypeofFoldAllocatesWithinEachCompile) {
+  // A compile worker donates everything it allocated during one compile
+  // to the main heap, or frees it when the compile is discarded. A typeof
+  // fold that handed out the fold runtime's cached strings would leave
+  // the next compile baking a pointer into that earlier chain.
+  PassTester T("function f(x) { return typeof x; }"
+               "for (var i = 0; i < 10; i++) f(5);");
+  auto G = T.build("f");
+  const MInstr *Ret = returnOf(*G);
+  ASSERT_NE(Ret, nullptr);
+  const MInstr *TypeOf = Ret->operand(0);
+  ASSERT_EQ(TypeOf->op(), MirOp::TypeOf);
+  Runtime FoldRT;
+  FoldRT.heap().setNurseryEnabled(false);
+  FoldRT.heap().setGCThreshold(SIZE_MAX);
+  for (int Compile = 0; Compile != 2; ++Compile) {
+    GCObject *Mark = FoldRT.heap().allocationMark();
+    std::optional<Value> R =
+        evaluatePureInstr(TypeOf, FoldRT, [](const MInstr *) {
+          return std::optional<Value>(Value::int32(5));
+        });
+    ASSERT_TRUE(R.has_value());
+    ASSERT_TRUE(R->isString());
+    EXPECT_EQ(R->asString()->str(), "number");
+    Heap::DetachedChain Chain = FoldRT.heap().detachAllocatedSince(Mark);
+    EXPECT_EQ(Chain.Count, 1u) << "compile " << Compile;
+    Heap::freeChain(Chain);
+  }
 }
 
 TEST(Figure9Configs, TenConfigsMatchingTheTable) {

@@ -220,6 +220,46 @@ TEST(OsrEdge, InvertedLoopShimReTestsCondition) {
   }
 }
 
+TEST(OsrEdge, NestedLoopsWithOneRotatedLoop) {
+  // Loop inversion rotates only loops whose wrapper test folds: in each
+  // nest one loop has a literal bound (rotated) and the other a varying
+  // parameter bound (kept). The varying argument despecializes both
+  // functions, n = 0 takes the zero-trip path, and the loop threshold
+  // fires OSR inside both nests. Also in tests/fuzz/corpus/.
+  const std::string Source =
+      "function innerConst(n) {"
+      "  var s = 0;"
+      "  for (var i = 0; i < n; i = i + 1) {"
+      "    for (var j = 0; j < 6; j = j + 1) { s = s + i * j; }"
+      "  }"
+      "  return s;"
+      "}"
+      "function outerConst(n) {"
+      "  var s = 0;"
+      "  for (var i = 0; i < 5; i = i + 1) {"
+      "    for (var j = 0; j < n; j = j + 1) { s = s + i + j; }"
+      "  }"
+      "  return s;"
+      "}"
+      "var g = 0;"
+      "for (var h = 0; h < 24; h = h + 1) {"
+      "  g = g + innerConst(h % 4) * 3 + outerConst(3 + h % 3);"
+      "}"
+      "print(g);";
+  std::string Reference = interp(Source);
+  OptConfig OnlyInversion = OptConfig::baseline();
+  OnlyInversion.LoopInversion = true;
+  for (const OptConfig &Cfg : {OnlyInversion, OptConfig::all()}) {
+    Runtime RT;
+    Engine E(RT, Cfg);
+    E.setCallThreshold(3);
+    E.setLoopThreshold(20);
+    RT.evaluate(Source);
+    EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
+    EXPECT_EQ(Reference, RT.output()) << Cfg.describe();
+  }
+}
+
 TEST(StringEdge, FoldedOutOfRangeAccessesMatchInterpreter) {
   // charCodeAt out of range is NaN: the folder must decline to fold
   // (never manufacture a garbage constant) and specialized code must
