@@ -1,14 +1,15 @@
-//===- jit/CompileTask.h - One unit of background compilation ---*- C++ -*-===//
+//===- jit/CompileTask.h - One unit of compilation --------------*- C++ -*-===//
 ///
 /// \file
-/// The job format of the off-thread compilation pipeline. A CompileTask
-/// carries an immutable snapshot of everything one compile needs — the
-/// specialized argument values, tier vectors, OSR frame slots and a
-/// whole-program type-feedback snapshot — so a worker thread can run
-/// MIR -> LIR -> native without touching any state the main thread
-/// mutates. The finished binary is published through a single atomic
-/// result slot: the worker release-stores a CompileOutcome, the main
-/// thread acquire-loads it at a dispatch boundary and links the code in.
+/// The "compile this" action the engine's policy emits. A CompileTask
+/// carries everything one compile needs — the specialized argument
+/// values, tier vectors, OSR frame slots, where the binary installs and,
+/// for background builds, a whole-program type-feedback snapshot — so
+/// the same task runs either inline on the main thread or on a worker
+/// thread without touching any state the main thread mutates. The
+/// finished binary is published through a single atomic result slot: a
+/// worker release-stores a CompileOutcome, the main thread acquire-loads
+/// it at a dispatch boundary and links the code in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,10 +39,18 @@ enum class CompilePriority : uint8_t {
   FirstCompile = 1, ///< A function's (or loop's) first binary.
 };
 
-/// What a worker hands back: the binary plus everything the main thread
-/// needs to install it. Owned by the task's result slot; destroying an
-/// outcome whose donated allocations were never adopted frees them on
-/// the spot (the install was skipped, so nothing else references them).
+/// Where an installed binary goes. The policy picks the target when it
+/// builds the task; the install path is the only code that links it.
+enum class CompileTarget : uint8_t {
+  Primary,   ///< FuncState::Code (entry or OSR body).
+  ExtraSlot, ///< One more FuncState::ExtraSpecializations signature.
+  CodeCache, ///< A shared SpecSig code-cache entry (jit/CodeCache.h).
+};
+
+/// What a compile hands back: the binary and what it cost. Owned by the
+/// task's result slot; destroying an outcome whose donated allocations
+/// were never adopted frees them on the spot (the install was skipped,
+/// so nothing else references them).
 struct CompileOutcome {
   CompileOutcome() = default;
   CompileOutcome(const CompileOutcome &) = delete;
@@ -52,30 +61,19 @@ struct CompileOutcome {
   }
 
   std::shared_ptr<NativeCode> Code;
-  /// Worker wall-clock spent in the pipeline (EngineStats::CompileSeconds
-  /// counts this; it is *not* main-thread stall).
+  /// Wall-clock spent in the pipeline (EngineStats::CompileSeconds
+  /// counts this wherever it ran).
   double Seconds = 0.0;
   /// Macro-op pairs fused (folded into EngineStats at install).
   unsigned Fused = 0;
 
-  /// Whether the binary actually specializes (a worker-side tier choice
-  /// may conclude all-generic even when the task asked to specialize).
-  bool Specialized = false;
-  /// Entry tiers the build used; meaningful when HaveTiers (otherwise
-  /// the all-value default applied). The install path rebuilds the
-  /// dispatch signature from these plus the task's argument snapshot.
-  bool HaveTiers = false;
-  std::vector<ParamTier> Tiers;
-  /// OSR frame-slot tiers, same convention.
-  bool HaveSlotTiers = false;
-  std::vector<ParamTier> SlotTiers;
-
-  /// Objects constant folding allocated in the worker's private heap
-  /// (ConstPool entries may point into this chain). The install path
-  /// splices them into the main heap (Heap::adoptChain) directly into
-  /// the old generation — worker heaps run with the nursery disabled,
-  /// so every donated object is pointer-stable and the addresses baked
-  /// into the pool stay valid across minor collections.
+  /// Objects constant folding allocated in a worker's private heap
+  /// (ConstPool entries may point into this chain); empty for inline
+  /// compiles, which fold on the main heap. The install path splices
+  /// them into the main heap (Heap::adoptChain) directly into the old
+  /// generation — worker heaps run with the nursery disabled, so every
+  /// donated object is pointer-stable and the addresses baked into the
+  /// pool stay valid across minor collections.
   Heap::DetachedChain Donated;
 };
 
@@ -89,8 +87,9 @@ struct CompileTask {
   ~CompileTask() { delete Result.load(std::memory_order_acquire); }
 
   FunctionInfo *Info = nullptr;
-  /// Dedup key second component: one outstanding entry task and one
-  /// outstanding OSR task per function at most.
+  /// Builds an OSR entry at OsrPc. Also the queue's dedup key second
+  /// component: one outstanding entry and one outstanding OSR task per
+  /// function at most.
   bool IsOsr = false;
   CompilePriority Priority = CompilePriority::FirstCompile;
   /// FIFO tiebreak within a priority class (assigned by the queue).
@@ -100,36 +99,27 @@ struct CompileTask {
   /// despecialization decision) while the compile was in flight.
   uint32_t Generation = 0;
 
-  // --- Immutable compile inputs ---
+  // --- Immutable compile inputs (tiers are chosen on the main thread
+  // when the task is built; an empty tier vector means all value-tier) ---
   bool Specialized = false;
-  std::vector<Value> SpecArgs; ///< GC-rooted via CompileQueue::forEachTask.
-  bool HaveTiers = false;
+  std::vector<Value> SpecArgs; ///< GC-rooted while the task is live.
   std::vector<ParamTier> Tiers;
-  /// Tiered policy first compiles: the worker picks tiers itself from
-  /// the profiler's seqlock-published stability snapshot (reading the
-  /// live profile tables off-thread would race the interpreter).
-  bool ChooseTiersOnWorker = false;
-
-  /// The result is destined for the shared SpecSig code cache
-  /// (jit/CodeCache.h) instead of the function's primary slot: the
-  /// install path inserts the specialized body as a cache entry and
-  /// leaves FuncState::Code alone (a worker-side all-generic tier choice
-  /// still installs normally — generic bodies are never cache entries).
-  bool ForCodeCache = false;
-
-  bool HasOsr = false;
   uint32_t OsrPc = 0;
-  std::vector<Value> OsrSlots; ///< GC-rooted via CompileQueue::forEachTask.
-  bool HaveOsrTiers = false;
+  /// Specialized OSR builds only: the frame slots baked in, and their
+  /// tiers.
+  std::vector<Value> OsrSlots; ///< GC-rooted while the task is live.
   std::vector<ParamTier> OsrTiers;
+  CompileTarget Target = CompileTarget::Primary;
 
   /// Whole-program feedback snapshot captured at enqueue; the builder
-  /// reads this instead of the live FunctionInfo::Feedback maps.
+  /// reads this instead of the live FunctionInfo::Feedback maps. Null for
+  /// inline compiles, which read the live maps.
   std::shared_ptr<const FeedbackSnapshot> Feedback;
   uint64_t EnqueueNs = 0; ///< For the compile-wait histogram.
 
-  /// Publication slot: null until the worker release-stores the finished
-  /// outcome; the main thread's pump acquire-loads it exactly once.
+  /// Publication slot: null until the compile stores the finished
+  /// outcome (a worker with a release store); the install path
+  /// acquire-loads it exactly once.
   std::atomic<CompileOutcome *> Result{nullptr};
 };
 

@@ -73,8 +73,9 @@ uint64_t monotonicNowNs() {
 } // namespace
 
 /// Roots everything the engine keeps alive across GC: cached argument
-/// sets, cached OSR slot values, and the constant pools of all compiled
-/// binaries. A compiling MIR graph is rooted separately via GraphRoots.
+/// sets, cached OSR slot values, and the constant pools of every binary
+/// that is linked, cached, retired-but-unreclaimed or being compiled. A
+/// compiling MIR graph is rooted separately via GraphRoots.
 class Engine::EngineRoots final : public RootSource {
 public:
   explicit EngineRoots(Engine &E) : E(E) { E.RT.heap().addRootSource(this); }
@@ -95,8 +96,6 @@ public:
     for (auto &[Info, FS] : E.States) {
       TraceSig(FS.Sig);
       TraceSig(FS.OsrSig);
-      // Background-installed binaries are not in AllCode; root their
-      // pools directly (redundant but harmless in synchronous mode).
       if (FS.Code)
         TracePool(*FS.Code);
       for (auto &[Sig, Code] : FS.ExtraSpecializations) {
@@ -105,8 +104,6 @@ public:
           TracePool(*Code);
       }
     }
-    for (const auto &Code : E.AllCode)
-      TracePool(*Code);
     // Shared-cache entries: each signature's baked-in values and each
     // body's constant pool stay live for as long as the entry can be
     // dispatched.
@@ -159,58 +156,58 @@ private:
   MIRGraph &Graph;
 };
 
+/// The default constructor's knobs: EngineKnobs' defaults, overridden by
+/// whatever JITVS_* variables are set.
+EngineKnobs knobsFromEnvironment() {
+  EngineKnobs K;
+  K.Dispatch = Executor::defaultDispatchMode(); // Honors JITVS_DISPATCH.
+  if (const char *P = std::getenv("JITVS_TIER_POLICY")) {
+    if (!std::strcmp(P, "tiered"))
+      K.Policy = TierPolicy::Tiered;
+    else if (!std::strcmp(P, "paper"))
+      K.Policy = TierPolicy::Paper;
+  }
+  if (const char *N = std::getenv("JITVS_TIER_VALUE_MAX"))
+    if (int V = std::atoi(N); V > 0)
+      K.ValueStabilityMax = static_cast<uint32_t>(V);
+  if (const char *F = std::getenv("JITVS_FUSION"))
+    K.Fusion = std::strcmp(F, "0") != 0 && std::strcmp(F, "off") != 0;
+  if (const char *T = std::getenv("JITVS_COMPILE_THREADS")) {
+    if (!std::strcmp(T, "auto")) {
+      unsigned HW = std::thread::hardware_concurrency();
+      K.CompileThreads = HW > 1 ? HW - 1 : 1;
+    } else if (int V = std::atoi(T); V > 0) {
+      K.CompileThreads = static_cast<uint32_t>(V);
+    }
+  }
+  if (const char *D = std::getenv("JITVS_COMPILE_DRAIN"))
+    K.CompileDrain = std::strcmp(D, "0") != 0 && std::strcmp(D, "off") != 0;
+  if (const char *B = std::getenv("JITVS_CODE_CACHE_BYTES"))
+    if (long long V = std::atoll(B); V > 0)
+      K.CodeCacheBytes = static_cast<size_t>(V);
+  return K;
+}
+
 } // namespace
 
 Engine::Engine(Runtime &RT, const OptConfig &Config,
                const EngineKnobs &Knobs)
-    : RT(RT), Config(Config), Exec(RT) {
+    : RT(RT), Config(Config), Exec(RT), CallThreshold(Knobs.CallThreshold),
+      LoopThreshold(Knobs.LoopThreshold), BailoutLimit(Knobs.BailoutLimit),
+      CacheDepth(std::max(1u, Knobs.CacheDepth)), Policy(Knobs.Policy),
+      ValueStabilityMax(Knobs.ValueStabilityMax), FusionEnabled(Knobs.Fusion),
+      CompileThreadCount(Knobs.CompileThreads),
+      CompileDrainMode(Knobs.CompileDrain) {
   Roots = std::make_unique<EngineRoots>(*this);
   RT.setHooks(this);
-  Policy = Knobs.Policy;
-  FusionEnabled = Knobs.Fusion;
   Exec.setDispatchMode(Knobs.Dispatch);
-  CallThreshold = Knobs.CallThreshold;
-  LoopThreshold = Knobs.LoopThreshold;
-  BailoutLimit = Knobs.BailoutLimit;
-  CacheDepth = std::max(1u, Knobs.CacheDepth);
-  ValueStabilityMax = Knobs.ValueStabilityMax;
-  CompileThreadCount = Knobs.CompileThreads;
-  CompileDrainMode = Knobs.CompileDrain;
   if (Knobs.CodeCacheBytes)
     Cache = std::make_unique<CodeCache>(Knobs.CodeCacheBytes);
   initCompileQueue();
 }
 
 Engine::Engine(Runtime &RT, const OptConfig &Config)
-    : RT(RT), Config(Config), Exec(RT) {
-  Roots = std::make_unique<EngineRoots>(*this);
-  RT.setHooks(this);
-  if (const char *P = std::getenv("JITVS_TIER_POLICY")) {
-    if (!std::strcmp(P, "tiered"))
-      Policy = TierPolicy::Tiered;
-    else if (!std::strcmp(P, "paper"))
-      Policy = TierPolicy::Paper;
-  }
-  if (const char *N = std::getenv("JITVS_TIER_VALUE_MAX"))
-    if (int V = std::atoi(N); V > 0)
-      ValueStabilityMax = static_cast<uint32_t>(V);
-  if (const char *F = std::getenv("JITVS_FUSION"))
-    FusionEnabled = std::strcmp(F, "0") != 0 && std::strcmp(F, "off") != 0;
-  if (const char *T = std::getenv("JITVS_COMPILE_THREADS")) {
-    if (!std::strcmp(T, "auto")) {
-      unsigned HW = std::thread::hardware_concurrency();
-      CompileThreadCount = HW > 1 ? HW - 1 : 1;
-    } else if (int V = std::atoi(T); V > 0) {
-      CompileThreadCount = static_cast<unsigned>(V);
-    }
-  }
-  if (const char *D = std::getenv("JITVS_COMPILE_DRAIN"))
-    CompileDrainMode = std::strcmp(D, "0") != 0 && std::strcmp(D, "off") != 0;
-  if (const char *B = std::getenv("JITVS_CODE_CACHE_BYTES"))
-    if (long long V = std::atoll(B); V > 0)
-      Cache = std::make_unique<CodeCache>(static_cast<size_t>(V));
-  initCompileQueue();
-}
+    : Engine(RT, Config, knobsFromEnvironment()) {}
 
 void Engine::initCompileQueue() {
   if (CompileThreadCount == 0)
@@ -256,34 +253,17 @@ Engine::FuncState &Engine::state(FunctionInfo *Info) {
 // Signature helpers (makeSpecSig / specSigMatches / specSigTier) moved to
 // jit/SpecSig.{h,cpp}, shared with the SpecSig-keyed code cache.
 
-std::vector<ParamTier>
-Engine::tiersFromStability(const std::vector<ParamStability> &Stab,
-                           size_t NumArgs) const {
-  std::vector<ParamTier> Tiers(NumArgs, ParamTier::Value);
-  for (size_t I = 0; I != NumArgs && I != Stab.size(); ++I) {
-    if (Stab[I].DistinctValues <= ValueStabilityMax)
-      Tiers[I] = ParamTier::Value;
-    else if (Stab[I].DistinctTags == 1)
-      Tiers[I] = ParamTier::Type;
-    else
-      Tiers[I] = ParamTier::Generic;
-  }
-  return Tiers;
-}
-
 std::vector<ParamTier> Engine::chooseTiers(FunctionInfo *Info,
                                            size_t NumArgs) {
+  std::vector<ParamTier> Tiers(NumArgs, ParamTier::Value);
   if (Policy != TierPolicy::Tiered || !Profiler)
-    return std::vector<ParamTier>(NumArgs, ParamTier::Value);
-  return tiersFromStability(Profiler->paramStability(Info), NumArgs);
-}
-
-std::vector<ParamTier>
-Engine::chooseTiersFromSnapshot(const FunctionInfo *Info,
-                                size_t NumArgs) const {
-  if (Policy != TierPolicy::Tiered || !Profiler)
-    return std::vector<ParamTier>(NumArgs, ParamTier::Value);
-  return tiersFromStability(Profiler->paramStabilitySnapshot(Info), NumArgs);
+    return Tiers;
+  std::vector<ParamStability> Stab = Profiler->paramStability(Info);
+  for (size_t I = 0; I != NumArgs && I != Stab.size(); ++I)
+    if (Stab[I].DistinctValues > ValueStabilityMax)
+      Tiers[I] = Stab[I].DistinctTags == 1 ? ParamTier::Type
+                                           : ParamTier::Generic;
+  return Tiers;
 }
 
 std::vector<ParamTier> Engine::demoteTiers(FunctionInfo *Info,
@@ -291,14 +271,6 @@ std::vector<ParamTier> Engine::demoteTiers(FunctionInfo *Info,
                                            const Value *Args, size_t NumArgs,
                                            bool &SawTypeMismatch) {
   SawTypeMismatch = false;
-  std::vector<ParamTier> NewTiers(NumArgs, ParamTier::Generic);
-  if (Sig.size() != NumArgs) {
-    // Arity changed underneath the cache: no per-parameter facts carry
-    // over; treat as a whole-signature type mismatch.
-    SawTypeMismatch = true;
-    Stats.TierDemotionsToGeneric += Sig.size();
-    return NewTiers;
-  }
   auto RecordTransition = [&](size_t I, const char *Edge) {
     ++state(Info).TierTransitions;
     if (!telemetryEnabled(TelCache))
@@ -310,6 +282,17 @@ std::vector<ParamTier> Engine::demoteTiers(FunctionInfo *Info,
     E.A = I;
     telemetry().record(E);
   };
+  std::vector<ParamTier> NewTiers(NumArgs, ParamTier::Generic);
+  if (Sig.size() != NumArgs) {
+    // Arity changed underneath the cache: no per-parameter facts carry
+    // over; treat as a whole-signature type mismatch, one demotion per
+    // signature entry.
+    SawTypeMismatch = true;
+    Stats.TierDemotionsToGeneric += Sig.size();
+    for (size_t I = 0; I != Sig.size(); ++I)
+      RecordTransition(I, "arity->generic");
+    return NewTiers;
+  }
   for (size_t I = 0; I != NumArgs; ++I) {
     const ParamSig &P = Sig[I];
     switch (P.Tier) {
@@ -366,12 +349,10 @@ void Engine::recordCacheHit(FuncState &FS, const SpecSig &Sig,
   recordCacheEvent(TelemetryEventKind::CacheHit, Info);
 }
 
-Engine::PipelineOut Engine::runCompilePipeline(
-    FunctionInfo *Info, const std::vector<Value> *SpecArgs,
-    const std::vector<ParamTier> *Tiers, const uint32_t *OsrPc,
-    const std::vector<Value> *OsrSlots,
-    const std::vector<ParamTier> *OsrTiers, Runtime &FoldRT,
-    const FeedbackSnapshot *Feedback, bool OnMainThread) {
+std::unique_ptr<CompileOutcome>
+Engine::runCompilePipeline(const CompileTask &Task, Runtime &FoldRT,
+                           bool OnMainThread) {
+  FunctionInfo *Info = Task.Info;
   Timer T;
   MetricsPhaseTimer CompilePhase(Phase::Compile);
 
@@ -380,25 +361,22 @@ Engine::PipelineOut Engine::runCompilePipeline(
     E.Kind = TelemetryEventKind::CompileStart;
     E.setFunc(Info->Name);
     E.setDetail(Config.describe());
-    E.A = SpecArgs != nullptr;
-    E.B = OsrPc != nullptr;
+    E.A = Task.Specialized;
+    E.B = Task.IsOsr;
     telemetry().record(E);
   }
 
   BuildOptions Opts;
-  if (SpecArgs) {
-    Opts.SpecializedArgs = *SpecArgs;
-    if (Tiers)
-      Opts.ParamTiers = *Tiers;
+  if (Task.Specialized) {
+    Opts.SpecializedArgs = Task.SpecArgs;
+    Opts.ParamTiers = Task.Tiers;
   }
-  if (OsrPc) {
-    Opts.OsrPc = *OsrPc;
-    if (OsrSlots)
-      Opts.OsrSlotValues = *OsrSlots;
-    if (OsrTiers)
-      Opts.OsrSlotTiers = *OsrTiers;
+  if (Task.IsOsr) {
+    Opts.OsrPc = Task.OsrPc;
+    Opts.OsrSlotValues = Task.OsrSlots;
+    Opts.OsrSlotTiers = Task.OsrTiers;
   }
-  Opts.Feedback = Feedback;
+  Opts.Feedback = Task.Feedback.get();
 
   std::unique_ptr<MIRGraph> Graph;
   {
@@ -434,18 +412,17 @@ Engine::PipelineOut Engine::runCompilePipeline(
   }
 #endif
 
-  std::shared_ptr<NativeCode> Code;
+  auto Out = std::make_unique<CompileOutcome>();
   {
     MetricsPhaseTimer CodegenPhase(Phase::Codegen);
-    Code = generateCode(*Graph);
+    Out->Code = generateCode(*Graph);
   }
-  unsigned TotalFused = 0;
+  NativeCode &Code = *Out->Code;
   if (FusionEnabled) {
     MetricsPhaseTimer FusionPhase(Phase::Fusion);
     Timer FuseT;
     FusionStats FuseStats;
-    unsigned Fused = fuseMacroOps(*Code, &FuseStats);
-    TotalFused += Fused;
+    Out->Fused = fuseMacroOps(Code, &FuseStats);
     if (telemetryEnabled(TelPass)) {
       // Same span shape as the MIR passes: A/B = dispatched instruction
       // count before/after (the static Code.size() is unchanged), C = 0
@@ -455,67 +432,27 @@ Engine::PipelineOut Engine::runCompilePipeline(
       E.DurNs = static_cast<uint64_t>(FuseT.seconds() * 1e9);
       E.setFunc(Info->Name);
       E.setDetail("MacroFusion");
-      E.A = Code->sizeInInstructions();
-      E.B = Code->sizeInInstructionsPostFusion();
+      E.A = Code.sizeInInstructions();
+      E.B = Code.sizeInInstructionsPostFusion();
       E.C = 0;
-      E.D = Fused;
+      E.D = Out->Fused;
       telemetry().record(E);
     }
   }
 
-  double Seconds = T.seconds();
+  Out->Seconds = T.seconds();
   if (telemetryEnabled(TelCompile)) {
     TelemetryEvent E;
     E.Kind = TelemetryEventKind::CompileEnd;
     E.setFunc(Info->Name);
     E.setDetail(Config.describe());
-    E.DurNs = static_cast<uint64_t>(Seconds * 1e9);
-    E.A = SpecArgs != nullptr;
-    E.B = OsrPc != nullptr;
-    E.C = Code->sizeInInstructions();
+    E.DurNs = static_cast<uint64_t>(Out->Seconds * 1e9);
+    E.A = Task.Specialized;
+    E.B = Task.IsOsr;
+    E.C = Code.sizeInInstructions();
     telemetry().record(E);
   }
-  PipelineOut Out;
-  Out.Code = std::move(Code);
-  Out.Seconds = Seconds;
-  Out.Fused = TotalFused;
   return Out;
-}
-
-std::shared_ptr<NativeCode>
-Engine::compile(FunctionInfo *Info, const std::vector<Value> *SpecArgs,
-                const std::vector<ParamTier> *Tiers, const uint32_t *OsrPc,
-                const std::vector<Value> *OsrSlots,
-                const std::vector<ParamTier> *OsrTiers, bool ForCache) {
-  PipelineOut Out =
-      runCompilePipeline(Info, SpecArgs, Tiers, OsrPc, OsrSlots, OsrTiers,
-                         RT, /*Feedback=*/nullptr, /*OnMainThread=*/true);
-  Stats.FusedOps += Out.Fused;
-  // Cache-destined bodies skip the forever-pin: their lifetime (and
-  // their pool's rooting) is owned by the cache entry, then by the
-  // reclaimer once evicted or invalidated — otherwise the byte budget
-  // could never free anything.
-  if (!ForCache)
-    AllCode.push_back(Out.Code);
-  Stats.CompileSeconds += Out.Seconds;
-  // A synchronous compile blocks the caller for its whole duration.
-  Stats.CompileStallSeconds += Out.Seconds;
-  ++Stats.Compilations;
-  if (SpecArgs)
-    ++Stats.SpecializedCompiles;
-  else
-    ++Stats.GenericCompiles;
-
-  FuncState &FS = state(Info);
-  ++FS.Compiles;
-  FS.CompileSeconds += Out.Seconds;
-  if (FS.Compiles > 1)
-    ++Stats.Recompilations;
-  FS.MinCodeSize = std::min(FS.MinCodeSize, Out.Code->sizeInInstructions());
-  FS.MinCodeSizePostFusion = std::min(FS.MinCodeSizePostFusion,
-                                      Out.Code->sizeInInstructionsPostFusion());
-  FS.FusedOps += Out.Code->FusedPairs;
-  return Out.Code;
 }
 
 static bool allGenericTiers(const std::vector<ParamTier> &Tiers) {
@@ -527,60 +464,52 @@ static bool allGenericTiers(const std::vector<ParamTier> &Tiers) {
   return true;
 }
 
+/// An entry compile of \p Info: generic when \p Tiers is null, otherwise
+/// specialized on \p Args under \p Tiers (moved from).
+static std::unique_ptr<CompileTask>
+entryTask(FunctionInfo *Info, const Value *Args, size_t NumArgs,
+          std::vector<ParamTier> *Tiers,
+          CompileTarget Target = CompileTarget::Primary) {
+  auto Task = std::make_unique<CompileTask>();
+  Task->Info = Info;
+  Task->Target = Target;
+  if (Tiers) {
+    Task->Specialized = true;
+    Task->SpecArgs.assign(Args, Args + NumArgs);
+    Task->Tiers = std::move(*Tiers);
+  }
+  return Task;
+}
+
+/// An OSR compile at \p PC for \p Frame's function: generic when \p Tiers
+/// is null, otherwise specialized on the frame's arguments under \p Tiers
+/// and on its slots under \p SlotTiers.
+static std::unique_ptr<CompileTask>
+osrTask(const InterpFrame &Frame, uint32_t PC, std::vector<ParamTier> *Tiers,
+        std::vector<ParamTier> SlotTiers = {}) {
+  auto Task = entryTask(Frame.Info, Frame.OrigArgs.data(),
+                        Frame.OrigArgs.size(), Tiers);
+  Task->IsOsr = true;
+  Task->OsrPc = PC;
+  if (Tiers) {
+    Task->OsrSlots = Frame.Slots;
+    Task->OsrTiers = std::move(SlotTiers);
+  }
+  return Task;
+}
+
 void Engine::workerCompile(CompileTask &Task, Runtime &FoldRT) {
   MetricsPhaseTimer QueuePhase(Phase::CompileQueue);
-
-  bool Specialized = Task.Specialized;
-  bool HaveTiers = Task.HaveTiers;
-  std::vector<ParamTier> Tiers = Task.Tiers;
-  if (Specialized && Task.ChooseTiersOnWorker) {
-    // Tiered first compiles read the profile here, off-thread, through
-    // the seqlock snapshot — by the time a queued compile runs, the
-    // profile is richer than it was at enqueue anyway.
-    Tiers = chooseTiersFromSnapshot(Task.Info, Task.SpecArgs.size());
-    HaveTiers = true;
-    if (allGenericTiers(Tiers))
-      Specialized = false; // Nothing stable: build generic instead.
-  }
-  bool HaveSlotTiers = Task.HaveOsrTiers;
-  std::vector<ParamTier> SlotTiers = Task.OsrTiers;
-  if (Task.HasOsr && Specialized && !HaveSlotTiers) {
-    // First OSR compile: frame slots are parameters first (sharing the
-    // entry tiers), then locals at the value tier — same shape the
-    // synchronous loop-head path builds.
-    SlotTiers.assign(Task.OsrSlots.size(), ParamTier::Value);
-    for (size_t I = 0; I != Tiers.size() && I != SlotTiers.size(); ++I)
-      SlotTiers[I] = Tiers[I];
-    HaveSlotTiers = true;
-  }
-
-  auto Out = std::make_unique<CompileOutcome>();
   GCObject *Mark = FoldRT.heap().allocationMark();
-  const uint32_t *OsrPc = Task.HasOsr ? &Task.OsrPc : nullptr;
-  PipelineOut P = runCompilePipeline(
-      Task.Info, Specialized ? &Task.SpecArgs : nullptr,
-      Specialized && HaveTiers ? &Tiers : nullptr, OsrPc,
-      Task.HasOsr && Specialized ? &Task.OsrSlots : nullptr,
-      Task.HasOsr && Specialized && HaveSlotTiers ? &SlotTiers : nullptr,
-      FoldRT, Task.Feedback.get(), /*OnMainThread=*/false);
+  std::unique_ptr<CompileOutcome> Out =
+      runCompilePipeline(Task, FoldRT, /*OnMainThread=*/false);
   // Fold helpers may set the error flag (they never throw to users from
   // a compile); clear it so one poisoned fold cannot taint later jobs.
   FoldRT.clearError();
-
-  Out->Code = std::move(P.Code);
-  Out->Seconds = P.Seconds;
-  Out->Fused = P.Fused;
-  Out->Specialized = Specialized;
-  Out->HaveTiers = Specialized && HaveTiers;
-  if (Out->HaveTiers)
-    Out->Tiers = std::move(Tiers);
-  Out->HaveSlotTiers = Task.HasOsr && Specialized && HaveSlotTiers;
-  if (Out->HaveSlotTiers)
-    Out->SlotTiers = std::move(SlotTiers);
   Out->Donated = FoldRT.heap().detachAllocatedSince(Mark);
-  // Publication: the release store pairs with the pump's acquire load,
-  // making every write above (including the code buffer) visible to the
-  // main thread before the pointer is.
+  // Publication: the release store pairs with the install's acquire
+  // load, making every write above (including the code buffer) visible
+  // to the main thread before the pointer is.
   Task.Result.store(Out.release(), std::memory_order_release);
 }
 
@@ -601,11 +530,9 @@ Engine::captureFeedback(FunctionInfo *Info) {
   return S;
 }
 
-void Engine::enqueueCompileTask(FunctionInfo *Info, FuncState &FS,
-                                std::unique_ptr<CompileTask> Task) {
-  Task->Info = Info;
-  Task->Generation = FS.Generation;
-  Task->Feedback = captureFeedback(Info);
+void Engine::enqueueCompileTask(FuncState &FS,
+                                std::shared_ptr<CompileTask> Task) {
+  Task->Feedback = captureFeedback(Task->Info);
   Task->EnqueueNs = monotonicNowNs();
   // Tenure the value snapshots before a worker can see them: a minor
   // collection moves nursery objects, and the worker reads these vectors
@@ -617,9 +544,7 @@ void Engine::enqueueCompileTask(FunctionInfo *Info, FuncState &FS,
     Roots.addVector(Task->OsrSlots);
     RT.heap().minorCollect();
   }
-  CompileQueue::EnqueueResult R =
-      Queue->enqueue(std::shared_ptr<CompileTask>(std::move(Task)));
-  if (R != CompileQueue::EnqueueResult::Full)
+  if (Queue->enqueue(std::move(Task)) != CompileQueue::EnqueueResult::Full)
     FS.CompilePending = true;
   if (metricsEnabled())
     metrics().setGauge("engine.compile_queue.depth",
@@ -627,54 +552,63 @@ void Engine::enqueueCompileTask(FunctionInfo *Info, FuncState &FS,
 }
 
 void Engine::retireCode(std::shared_ptr<NativeCode> Code) {
-  if (!Code)
-    return;
-  if (Queue)
-    Reclaimer.retire(std::move(Code));
-  // Synchronous mode: AllCode keeps the pool rooted forever (legacy
-  // behavior); dropping the reference here is all the unlinking needed.
+  Reclaimer.retire(std::move(Code));
 }
 
-void Engine::pumpCompileQueue() {
-  if (!Queue)
-    return;
-  // Dispatch boundaries are the reclamation safepoints: any frame still
-  // executing retired code entered before this boundary and pins its
-  // binary via the execute()-local shared_ptr.
-  Reclaimer.tick();
+std::shared_ptr<NativeCode> Engine::installFinished(bool Wait,
+                                                    const CompileTask *Wanted) {
+  if (Wait) {
+    Timer T;
+    Queue->drain();
+    // Waiting on the queue is main-thread stall, the thing the background
+    // pipeline exists to avoid; drain mode measures it honestly.
+    Stats.CompileStallSeconds += T.seconds();
+  }
+  std::shared_ptr<NativeCode> WantedCode;
   if (!Queue->hasCompleted())
-    return;
-  for (const auto &Task : Queue->takeCompleted())
-    installCompleted(*Task);
+    return WantedCode;
+  for (const auto &Task : Queue->takeCompleted()) {
+    const CompileOutcome *Out = Task->Result.load(std::memory_order_acquire);
+    if (Out && metricsEnabled()) {
+      metrics().recordValue("compile_queue.wait_ns",
+                            monotonicNowNs() - Task->EnqueueNs);
+      metrics().recordValue("compile_queue.stall_hidden_ns",
+                            static_cast<uint64_t>(Out->Seconds * 1e9));
+    }
+    std::shared_ptr<NativeCode> Code = installCompleted(*Task);
+    if (Task.get() == Wanted)
+      WantedCode = std::move(Code);
+  }
   if (metricsEnabled())
     metrics().setGauge("engine.compile_queue.depth",
                        static_cast<double>(Queue->depth()));
+  return WantedCode;
 }
 
-void Engine::installCompleted(CompileTask &Task) {
+std::shared_ptr<NativeCode> Engine::installCompleted(CompileTask &Task) {
   CompileOutcome *Out = Task.Result.load(std::memory_order_acquire);
   if (!Out)
-    return; // Worker died mid-task; nothing was published.
+    return nullptr; // Worker died mid-task; nothing was published.
   FuncState &FS = state(Task.Info);
   FS.CompilePending = false;
+  // The runtime's helper side flags are read-and-clear feedback for the
+  // next interpreter op. Folding trips and clears them on the runtime it
+  // folds on, which is the main one only for inline compiles; clearing
+  // them at every install leaves the same flags behind wherever the
+  // compile ran.
+  (void)RT.tookIntOverflow();
+  (void)RT.tookOutOfBounds();
 
-  // The worker's wall-clock counts as compile time whether or not the
+  // The compile's wall-clock counts as compile time whether or not the
   // result still installs — the work happened.
   Stats.CompileSeconds += Out->Seconds;
-  if (metricsEnabled()) {
-    metrics().recordValue("compile_queue.wait_ns",
-                          monotonicNowNs() - Task.EnqueueNs);
-    metrics().recordValue("compile_queue.stall_hidden_ns",
-                          static_cast<uint64_t>(Out->Seconds * 1e9));
-  }
-
   if (Task.Generation != FS.Generation || !Out->Code) {
-    // The policy moved on (bailout discard, newer despecialization)
-    // while this compile was in flight: drop it. The outcome destructor
-    // frees the donated fold allocations nothing ever referenced.
+    // The policy moved on (bailout discard, cache invalidation) while
+    // this compile was in flight: drop it. The outcome destructor frees
+    // the donated fold allocations nothing ever referenced.
     if (metricsEnabled())
       metrics().addCounter("engine.compile_queue.stale_results", 1);
-    return;
+    return nullptr;
   }
 
   // Adopt the worker-heap fold allocations the constant pool points
@@ -682,41 +616,10 @@ void Engine::installCompleted(CompileTask &Task) {
   RT.heap().adoptChain(Out->Donated);
   Out->Donated = {};
 
-  // Cache-bound compiles publish into the shared cache and leave the
-  // primary slot alone. (A worker-side all-generic tier choice falls
-  // through to the normal install: generic bodies are never entries.)
-  if (Task.ForCodeCache && Out->Specialized && Cache) {
-    Stats.FusedOps += Out->Fused;
-    ++Stats.Compilations;
-    ++Stats.SpecializedCompiles;
-    ++FS.Compiles;
-    FS.CompileSeconds += Out->Seconds;
-    if (FS.Compiles > 1)
-      ++Stats.Recompilations;
-    FS.MinCodeSize = std::min(FS.MinCodeSize, Out->Code->sizeInInstructions());
-    FS.MinCodeSizePostFusion = std::min(
-        FS.MinCodeSizePostFusion, Out->Code->sizeInInstructionsPostFusion());
-    FS.FusedOps += Out->Code->FusedPairs;
-    FS.EverSpecialized = true;
-    Cache->insert(Task.Info, FS.Generation,
-                  makeSpecSig(Out->HaveTiers ? &Out->Tiers : nullptr,
-                              Task.SpecArgs.data(), Task.SpecArgs.size()),
-                  Out->Code, Reclaimer);
-    return;
-  }
-
-  // Atomic-publication install: unlink (retire) the stale body, link
-  // the new one. In-flight frames of the old body drain through their
-  // existing bailout/resume points; the reclaimer frees it once they do.
-  retireCode(std::move(FS.Code));
-  for (auto &[Sig, ExtraCode] : FS.ExtraSpecializations)
-    retireCode(std::move(ExtraCode));
-  FS.ExtraSpecializations.clear();
-  FS.Code = Out->Code;
-
+  const NativeCode &Code = *Out->Code;
   Stats.FusedOps += Out->Fused;
   ++Stats.Compilations;
-  if (Out->Specialized)
+  if (Task.Specialized)
     ++Stats.SpecializedCompiles;
   else
     ++Stats.GenericCompiles;
@@ -724,37 +627,75 @@ void Engine::installCompleted(CompileTask &Task) {
   FS.CompileSeconds += Out->Seconds;
   if (FS.Compiles > 1)
     ++Stats.Recompilations;
-  FS.MinCodeSize = std::min(FS.MinCodeSize, FS.Code->sizeInInstructions());
-  FS.MinCodeSizePostFusion = std::min(
-      FS.MinCodeSizePostFusion, FS.Code->sizeInInstructionsPostFusion());
-  FS.FusedOps += FS.Code->FusedPairs;
+  FS.MinCodeSize = std::min(FS.MinCodeSize, Code.sizeInInstructions());
+  FS.MinCodeSizePostFusion =
+      std::min(FS.MinCodeSizePostFusion, Code.sizeInInstructionsPostFusion());
+  FS.FusedOps += Code.FusedPairs;
 
-  FS.Specialized = Out->Specialized;
-  FS.Bailouts = 0;
-  if (Out->Specialized) {
+  SpecSig Sig;
+  if (Task.Specialized) {
     FS.EverSpecialized = true;
-    FS.Sig = makeSpecSig(Out->HaveTiers ? &Out->Tiers : nullptr,
-                     Task.SpecArgs.data(), Task.SpecArgs.size());
-    if (Task.HasOsr)
-      FS.OsrSig = makeSpecSig(Out->HaveSlotTiers ? &Out->SlotTiers : nullptr,
-                          Task.OsrSlots.data(), Task.OsrSlots.size());
-    else
-      FS.OsrSig.clear();
-  } else {
-    FS.Sig.clear();
-    FS.OsrSig.clear();
+    Sig = makeSpecSig(&Task.Tiers, Task.SpecArgs.data(), Task.SpecArgs.size());
   }
+  switch (Task.Target) {
+  case CompileTarget::CodeCache:
+    Cache->insert(Task.Info, FS.Generation, std::move(Sig), Out->Code,
+                  Reclaimer);
+    break;
+  case CompileTarget::ExtraSlot:
+    FS.ExtraSpecializations.emplace_back(std::move(Sig), Out->Code);
+    break;
+  case CompileTarget::Primary:
+    // Unlink (retire) whatever is still linked and link the new body.
+    // In-flight frames of the old one drain through their bailout/resume
+    // points; the reclaimer frees it once they do. A generic body leaves
+    // the signature state to the policy decision that asked for it.
+    retireCode(std::move(FS.Code));
+    FS.Code = Out->Code;
+    if (Task.Specialized) {
+      FS.Specialized = true;
+      FS.Sig = std::move(Sig);
+      if (Task.IsOsr)
+        FS.OsrSig = makeSpecSig(&Task.OsrTiers, Task.OsrSlots.data(),
+                                Task.OsrSlots.size());
+      else
+        FS.OsrSig.clear();
+    }
+    break;
+  }
+  return Out->Code;
 }
 
 void Engine::drainCompiles() {
-  if (!Queue)
-    return;
-  Timer T;
-  Queue->drain();
-  // Waiting on the queue is main-thread stall, the thing the background
-  // pipeline exists to avoid; drain mode measures it honestly.
-  Stats.CompileStallSeconds += T.seconds();
-  pumpCompileQueue();
+  if (Queue)
+    installFinished(/*Wait=*/true);
+}
+
+std::shared_ptr<NativeCode> Engine::submit(FuncState &FS,
+                                           std::unique_ptr<CompileTask> Task) {
+  Task->Generation = FS.Generation;
+  // A function that already had a binary is interpreting right now; its
+  // recompile outranks first compiles in the queue.
+  Task->Priority = FS.Compiles ? CompilePriority::Recompile
+                               : CompilePriority::FirstCompile;
+  if (!Queue) {
+    // Inline: live feedback, the main heap. Folding may collect, so the
+    // task's value snapshots stay rooted until the install reads them.
+    TempRoots Roots(RT.heap());
+    Roots.addVector(Task->SpecArgs);
+    Roots.addVector(Task->OsrSlots);
+    std::unique_ptr<CompileOutcome> Out =
+        runCompilePipeline(*Task, RT, /*OnMainThread=*/true);
+    // An inline compile blocks the caller for its whole duration.
+    Stats.CompileStallSeconds += Out->Seconds;
+    Task->Result.store(Out.release(), std::memory_order_relaxed);
+    return installCompleted(*Task);
+  }
+  std::shared_ptr<CompileTask> Queued = std::move(Task);
+  enqueueCompileTask(FS, Queued);
+  if (!CompileDrainMode || !FS.CompilePending)
+    return nullptr;
+  return installFinished(/*Wait=*/true, Queued.get());
 }
 
 Value Engine::execute(FuncState &FS, FunctionInfo *Info, const Value &ThisV,
@@ -880,193 +821,148 @@ Value Engine::execute(FuncState &FS, FunctionInfo *Info, const Value &ThisV,
 
 bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
                     const Value *Args, size_t NumArgs, Value &Result) {
+  // Dispatch boundaries are the reclamation safepoints, and where
+  // finished background compiles install.
+  Reclaimer.tick();
   if (Queue)
-    return onCallAsync(Callee, ThisV, Args, NumArgs, Result);
-  // Cache mode retires evicted bodies through the reclaimer even without
-  // a compile queue; dispatch boundaries are its safepoints.
-  if (Cache)
-    Reclaimer.tick();
+    installFinished(/*Wait=*/false);
   FunctionInfo *Info = Callee->info();
   FuncState &FS = state(Info);
 
-  if (FS.Code) {
-    if (FS.Specialized) {
-      if (specSigMatches(FS.Sig, Args, NumArgs)) {
-        recordCacheHit(FS, FS.Sig, Info);
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment());
-        return true;
-      }
-      // Cache depth > 1 (the paper's future-work heuristic): other
-      // cached signatures, then free slots.
-      for (auto &[Sig, CachedCode] : FS.ExtraSpecializations) {
-        if (specSigMatches(Sig, Args, NumArgs)) {
-          recordCacheHit(FS, Sig, Info);
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(),
-                           CachedCode);
-          return true;
-        }
-      }
-      // Shared-cache secondary dispatch: a body specialized for these
-      // arguments by an earlier call (possibly another session) answers
-      // instead of despecializing. A miss with signature headroom grows
-      // the cache; only past the per-function cap does the policy fall
-      // back to generic.
-      if (Cache) {
-        const SpecSig *HitSig = nullptr;
-        if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-                Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-          recordCacheHit(FS, *HitSig, Info);
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(),
-                           std::move(CachedCode));
-          return true;
-        }
-        Cache->noteMiss();
-        if (Config.ParameterSpecialization && !FS.NeverSpecialize &&
-            Cache->entriesFor(Info) < CodeCacheSigLimit) {
-          std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-          if (!allGenericTiers(Tiers)) {
-            std::vector<Value> ArgVec(Args, Args + NumArgs);
-            std::shared_ptr<NativeCode> NewCode =
-                compile(Info, &ArgVec, &Tiers, nullptr, nullptr, nullptr,
-                        /*ForCache=*/true);
-            FS.EverSpecialized = true;
-            Cache->insert(Info, FS.Generation,
-                          makeSpecSig(&Tiers, Args, NumArgs), NewCode,
-                          Reclaimer);
-            ++Stats.NativeCalls;
-            Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                             nullptr, nullptr, Callee->environment(),
-                             std::move(NewCode));
-            return true;
-          }
-        }
-        // Signature cap reached (or nothing stable to assume): fall
-        // through to the one-binary miss policy below, and drop the
-        // function's entries — it is going generic.
-        Cache->invalidate(Info, Reclaimer);
-        ++FS.Generation;
-      }
-      if (FS.ExtraSpecializations.size() + 1 < CacheDepth) {
-        std::vector<Value> ArgVec(Args, Args + NumArgs);
-        std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-        std::shared_ptr<NativeCode> NewCode =
-            compile(Info, &ArgVec, &Tiers, nullptr, nullptr);
-        FS.ExtraSpecializations.emplace_back(
-            makeSpecSig(&Tiers, Args, NumArgs), NewCode);
-        ++Stats.NativeCalls;
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment(), NewCode);
-        return true;
-      }
-      if (Policy == TierPolicy::Paper) {
-        // Different arguments: discard, recompile generic, never try
-        // again (Section 4).
-        ++Stats.Despecializations;
-        FS.EverDespecialized = true;
-        FS.Cause = DespecializeCause::DifferentArgs;
-        recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                         "different-args");
-        FS.Code.reset();
-        FS.Specialized = false;
-        FS.NeverSpecialize = true;
-        FS.Sig.clear();
-        FS.ExtraSpecializations.clear();
-        FS.Code = compile(Info, nullptr, nullptr, nullptr, nullptr);
-        ++Stats.NativeCalls;
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment());
-        return true;
-      }
-      // Tiered ladder: demote only the mismatching parameters one tier
-      // and recompile; fully generic only once every tier is exhausted.
-      bool SawTypeMismatch = false;
-      std::vector<ParamTier> NewTiers =
-          demoteTiers(Info, FS.Sig, Args, NumArgs, SawTypeMismatch);
-      ++Stats.Despecializations;
-      FS.EverDespecialized = true;
-      FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                 : DespecializeCause::ValueMismatch;
-      recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                       despecializeCauseName(FS.Cause));
-      FS.Code.reset();
-      FS.Sig.clear();
-      FS.ExtraSpecializations.clear();
-      if (allGenericTiers(NewTiers)) {
-        ++Stats.GenericFallbacks;
-        FS.Specialized = false;
-        FS.NeverSpecialize = true;
-        FS.Code = compile(Info, nullptr, nullptr, nullptr, nullptr);
-      } else {
-        std::vector<Value> ArgVec(Args, Args + NumArgs);
-        FS.Code = compile(Info, &ArgVec, &NewTiers, nullptr, nullptr);
-        FS.Sig = makeSpecSig(&NewTiers, Args, NumArgs);
-      }
-      ++Stats.NativeCalls;
-      Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                       nullptr, nullptr, Callee->environment());
-      return true;
-    }
-    // Generic primary (e.g. after an OSR-revalidation rebuild): prefer a
-    // matching specialized body from the shared cache when one exists.
-    if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize) {
-      const SpecSig *HitSig = nullptr;
-      if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-              Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-        recordCacheHit(FS, *HitSig, Info);
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment(),
-                         std::move(CachedCode));
-        return true;
-      }
-    }
-    ++Stats.NativeCalls;
+  auto Run = [&](std::shared_ptr<NativeCode> Code) {
     Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                     nullptr, nullptr, Callee->environment());
+                     nullptr, nullptr, Callee->environment(),
+                     std::move(Code));
     return true;
-  }
-
-  if (Info->CallCount < CallThreshold) {
+  };
+  auto Hit = [&](const SpecSig &Sig, std::shared_ptr<NativeCode> Code) {
+    recordCacheHit(FS, Sig, Info);
+    return Run(std::move(Code));
+  };
+  // Shared-cache dispatch: a body specialized for these arguments by an
+  // earlier call (possibly another session) answers the call.
+  auto RunCached = [&] {
+    const SpecSig *HitSig = nullptr;
+    std::shared_ptr<NativeCode> Code = Cache->lookup(
+        Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig);
+    return Code && Hit(*HitSig, std::move(Code));
+  };
+  auto Interpret = [&] {
     ++Stats.InterpretedCalls;
     return false;
+  };
+  // Runs the compile the policy decided on, then the installed binary.
+  // The callee is rooted across it: an inline compile's folding or the
+  // enqueue-time tenuring can move it.
+  auto Compile = [&](std::unique_ptr<CompileTask> Task) {
+    TempRoots CalleeRoot(RT.heap());
+    Value CalleeV = Value::function(Callee);
+    CalleeRoot.add(CalleeV);
+    std::shared_ptr<NativeCode> Code = submit(FS, std::move(Task));
+    Callee = CalleeV.asFunction();
+    if (!Code)
+      return Interpret(); // A free-running compile is in flight.
+    ++Stats.NativeCalls;
+    return Run(std::move(Code));
+  };
+
+  if (FS.Code) {
+    if (!FS.Specialized) {
+      // Generic primary (e.g. after an OSR-revalidation rebuild): prefer
+      // a matching specialized body from the shared cache.
+      if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize &&
+          RunCached())
+        return true;
+      ++Stats.NativeCalls;
+      return Run(nullptr);
+    }
+    if (specSigMatches(FS.Sig, Args, NumArgs))
+      return Hit(FS.Sig, nullptr);
+    // Cache depth > 1 (the paper's future-work heuristic): other cached
+    // signatures, then free slots.
+    for (auto &[Sig, CachedCode] : FS.ExtraSpecializations)
+      if (specSigMatches(Sig, Args, NumArgs))
+        return Hit(Sig, CachedCode);
+    if (Cache && RunCached())
+      return true;
+    // A miss. Decisions wait for an in-flight compile to install.
+    if (FS.CompilePending)
+      return Interpret();
+    // A shared-cache miss with signature headroom grows the cache; only
+    // past the per-function cap does the policy fall back to generic.
+    if (Cache) {
+      Cache->noteMiss();
+      if (Config.ParameterSpecialization && !FS.NeverSpecialize &&
+          Cache->entriesFor(Info) < CodeCacheSigLimit) {
+        std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
+        if (!allGenericTiers(Tiers))
+          return Compile(entryTask(Info, Args, NumArgs, &Tiers,
+                                   CompileTarget::CodeCache));
+      }
+      // Signature cap reached (or nothing stable to assume): fall
+      // through to the one-binary miss policy below, and drop the
+      // function's entries — it is going generic.
+      Cache->invalidate(Info, Reclaimer);
+      ++FS.Generation;
+    }
+    if (FS.ExtraSpecializations.size() + 1 < CacheDepth) {
+      std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
+      return Compile(entryTask(Info, Args, NumArgs, &Tiers,
+                               CompileTarget::ExtraSlot));
+    }
+    // Different arguments. The paper's policy (Section 4) discards the
+    // binary, recompiles generic and never tries again; the tiered
+    // ladder demotes only the mismatching parameters one tier and goes
+    // fully generic only once every tier is exhausted.
+    std::vector<ParamTier> NewTiers;
+    if (Policy == TierPolicy::Paper) {
+      FS.Cause = DespecializeCause::DifferentArgs;
+    } else {
+      bool SawTypeMismatch = false;
+      NewTiers = demoteTiers(Info, FS.Sig, Args, NumArgs, SawTypeMismatch);
+      FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
+                                 : DespecializeCause::ValueMismatch;
+    }
+    ++Stats.Despecializations;
+    FS.EverDespecialized = true;
+    recordCacheEvent(TelemetryEventKind::Despecialize, Info,
+                     despecializeCauseName(FS.Cause));
+    retireCode(std::move(FS.Code));
+    FS.Sig.clear();
+    for (auto &[Sig, ExtraCode] : FS.ExtraSpecializations)
+      retireCode(std::move(ExtraCode));
+    FS.ExtraSpecializations.clear();
+    if (Policy == TierPolicy::Paper || allGenericTiers(NewTiers)) {
+      if (Policy == TierPolicy::Tiered)
+        ++Stats.GenericFallbacks;
+      FS.Specialized = false;
+      FS.NeverSpecialize = true;
+      return Compile(entryTask(Info, Args, NumArgs, nullptr));
+    }
+    return Compile(entryTask(Info, Args, NumArgs, &NewTiers));
   }
 
-  bool Specialize =
-      Config.ParameterSpecialization && !FS.NeverSpecialize;
+  if (Info->CallCount < CallThreshold)
+    return Interpret();
+
+  bool Specialize = Config.ParameterSpecialization && !FS.NeverSpecialize;
   // Cache mode routes hot specialized compiles into the shared cache and
   // leaves FuncState::Code for generic/OSR bodies: the cache *is* the
   // entry dispatch, so a body compiled for one session's arguments
   // answers every later session with an equivalent signature.
+  if (Cache && Specialize && RunCached())
+    return true;
+  if (FS.CompilePending)
+    return Interpret();
+  std::vector<ParamTier> Tiers;
+  if (Specialize)
+    Tiers = chooseTiers(Info, NumArgs);
   if (Cache && Specialize) {
-    const SpecSig *HitSig = nullptr;
-    if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-            Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-      recordCacheHit(FS, *HitSig, Info);
-      Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                       nullptr, nullptr, Callee->environment(),
-                       std::move(CachedCode));
-      return true;
-    }
     Cache->noteMiss();
     if (Cache->entriesFor(Info) < CodeCacheSigLimit) {
-      std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-      if (!allGenericTiers(Tiers)) {
-        std::vector<Value> ArgVec(Args, Args + NumArgs);
-        std::shared_ptr<NativeCode> NewCode =
-            compile(Info, &ArgVec, &Tiers, nullptr, nullptr, nullptr,
-                    /*ForCache=*/true);
-        FS.EverSpecialized = true;
-        Cache->insert(Info, FS.Generation,
-                      makeSpecSig(&Tiers, Args, NumArgs), NewCode,
-                      Reclaimer);
-        ++Stats.NativeCalls;
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment(),
-                         std::move(NewCode));
-        return true;
-      }
+      if (!allGenericTiers(Tiers))
+        return Compile(entryTask(Info, Args, NumArgs, &Tiers,
+                                 CompileTarget::CodeCache));
     } else {
       // Per-function signature cap: stop growing the cache for this
       // function and install a generic primary as the fallback body.
@@ -1078,32 +974,16 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
     }
     Specialize = false; // Nothing stable (or capped): generic primary.
   }
-  if (Specialize) {
-    std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-    if (allGenericTiers(Tiers)) {
-      // The profile shows nothing stable: skip the ladder entirely.
-      FS.Code = compile(Info, nullptr, nullptr, nullptr, nullptr);
-    } else {
-      std::vector<Value> ArgVec(Args, Args + NumArgs);
-      FS.Code = compile(Info, &ArgVec, &Tiers, nullptr, nullptr);
-      FS.Specialized = true;
-      FS.EverSpecialized = true;
-      FS.Sig = makeSpecSig(&Tiers, Args, NumArgs);
-    }
-  } else {
-    FS.Code = compile(Info, nullptr, nullptr, nullptr, nullptr);
-  }
-  ++Stats.NativeCalls;
-  Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false, nullptr,
-                   nullptr, Callee->environment());
-  return true;
+  // A profile that shows nothing stable skips the ladder entirely.
+  if (!Specialize || allGenericTiers(Tiers))
+    return Compile(entryTask(Info, Args, NumArgs, nullptr));
+  return Compile(entryTask(Info, Args, NumArgs, &Tiers));
 }
 
 bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
+  Reclaimer.tick();
   if (Queue)
-    return onLoopHeadAsync(Frame, PC, Result);
-  if (Cache)
-    Reclaimer.tick();
+    installFinished(/*Wait=*/false);
   FunctionInfo *Info = Frame.Info;
   if (Info->BackEdgeCount < LoopThreshold)
     return false;
@@ -1117,58 +997,53 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
     // OSR frame values in, so revalidate them.
     if (FS.Specialized &&
         !specSigMatches(FS.OsrSig, Frame.Slots.data(), Frame.Slots.size())) {
-      ++Stats.Despecializations;
-      FS.EverDespecialized = true;
+      if (FS.CompilePending)
+        return false;
+      // Tiered: demote the stale frame slots one tier and rebuild the
+      // OSR binary; generic only when nothing is left to assume.
+      std::vector<ParamTier> SlotTiers;
       if (Policy == TierPolicy::Paper) {
         FS.Cause = DespecializeCause::OsrRevalidation;
-        recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                         "osr-revalidation");
-        FS.Code.reset();
+      } else {
+        bool SawTypeMismatch = false;
+        SlotTiers = demoteTiers(Info, FS.OsrSig, Frame.Slots.data(),
+                                Frame.Slots.size(), SawTypeMismatch);
+        FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
+                                   : DespecializeCause::ValueMismatch;
+      }
+      ++Stats.Despecializations;
+      FS.EverDespecialized = true;
+      recordCacheEvent(TelemetryEventKind::Despecialize, Info,
+                       despecializeCauseName(FS.Cause));
+      retireCode(std::move(FS.Code));
+      FS.Sig.clear();
+      FS.OsrSig.clear();
+      if (Policy == TierPolicy::Paper) {
         FS.Specialized = false;
         // Stale *frame slots* say nothing about entry signatures: in
         // cache mode the shared entries stay valid and the function may
         // keep specializing at entry.
         if (!Cache)
           FS.NeverSpecialize = true;
-        FS.Sig.clear();
-        FS.OsrSig.clear();
-        FS.Code = compile(Info, nullptr, nullptr, &PC, nullptr);
+        submit(FS, osrTask(Frame, PC, nullptr));
+      } else if (allGenericTiers(SlotTiers)) {
+        ++Stats.GenericFallbacks;
+        FS.Specialized = false;
+        FS.NeverSpecialize = true;
+        submit(FS, osrTask(Frame, PC, nullptr));
       } else {
-        // Tiered: demote the stale frame slots one tier and rebuild the
-        // OSR binary; generic only when nothing is left to assume.
-        bool SawTypeMismatch = false;
-        std::vector<ParamTier> SlotTiers =
-            demoteTiers(Info, FS.OsrSig, Frame.Slots.data(),
-                        Frame.Slots.size(), SawTypeMismatch);
-        FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                   : DespecializeCause::ValueMismatch;
-        recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                         despecializeCauseName(FS.Cause));
-        FS.Code.reset();
-        FS.Sig.clear();
-        FS.OsrSig.clear();
-        if (allGenericTiers(SlotTiers)) {
-          ++Stats.GenericFallbacks;
-          FS.Specialized = false;
-          FS.NeverSpecialize = true;
-          FS.Code = compile(Info, nullptr, nullptr, &PC, nullptr);
-        } else {
-          // Entry parameters mirror the demoted tiers of their frame
-          // slots (slot I is parameter I at entry).
-          std::vector<ParamTier> ParamTiers(
-              SlotTiers.begin(),
-              SlotTiers.begin() +
-                  std::min<size_t>(Info->NumParams, SlotTiers.size()));
-          std::vector<Value> ArgVec = Frame.OrigArgs;
-          std::vector<Value> SlotVec = Frame.Slots;
-          FS.Code =
-              compile(Info, &ArgVec, &ParamTiers, &PC, &SlotVec, &SlotTiers);
-          FS.Sig = makeSpecSig(&ParamTiers, ArgVec.data(), ArgVec.size());
-          FS.OsrSig = makeSpecSig(&SlotTiers, SlotVec.data(), SlotVec.size());
-        }
+        // Entry parameters mirror the demoted tiers of their frame
+        // slots (slot I is parameter I at entry).
+        std::vector<ParamTier> ParamTiers(
+            SlotTiers.begin(),
+            SlotTiers.begin() +
+                std::min<size_t>(Info->NumParams, SlotTiers.size()));
+        submit(FS, osrTask(Frame, PC, &ParamTiers, std::move(SlotTiers)));
       }
     }
   } else {
+    if (FS.CompilePending)
+      return false;
     // Avoid compile storms when several hot loops alternate in one
     // function: after a few rebuilds, leave this loop to the
     // interpreter. Checked BEFORE any policy mutation: the despec
@@ -1187,19 +1062,12 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
         !specSigMatches(FS.Sig, Frame.OrigArgs.data(), Frame.OrigArgs.size())) {
       // The running frame's arguments differ from the cached
       // specialization.
-      ++Stats.Despecializations;
-      FS.EverDespecialized = true;
       if (Policy == TierPolicy::Paper) {
         FS.Cause = DespecializeCause::DifferentArgs;
-        recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                         "different-args");
-        FS.Specialized = false;
         // Cache mode: this one OSR body goes generic, but the shared
         // entry signatures remain valid — keep the function cacheable.
         if (!Cache)
           FS.NeverSpecialize = true;
-        FS.Sig.clear();
-        FS.OsrSig.clear();
         Specialize = false;
       } else {
         bool SawTypeMismatch = false;
@@ -1208,47 +1076,40 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
         HaveTiers = true;
         FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
                                    : DespecializeCause::ValueMismatch;
-        recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                         despecializeCauseName(FS.Cause));
-        FS.Specialized = false;
-        FS.Sig.clear();
-        FS.OsrSig.clear();
         if (allGenericTiers(Tiers)) {
           ++Stats.GenericFallbacks;
           FS.NeverSpecialize = true;
           Specialize = false;
         }
       }
+      ++Stats.Despecializations;
+      FS.EverDespecialized = true;
+      recordCacheEvent(TelemetryEventKind::Despecialize, Info,
+                       despecializeCauseName(FS.Cause));
+      FS.Specialized = false;
+      FS.Sig.clear();
+      FS.OsrSig.clear();
     }
-    FS.Code.reset();
-    if (Specialize) {
-      if (!HaveTiers)
-        Tiers = chooseTiers(Info, Frame.OrigArgs.size());
-      if (allGenericTiers(Tiers)) {
-        FS.Code = compile(Info, nullptr, nullptr, &PC, nullptr);
-      } else {
-        std::vector<Value> ArgVec = Frame.OrigArgs;
-        std::vector<Value> SlotVec = Frame.Slots;
-        // Frame slots: parameters first (sharing the entry tiers), then
-        // locals, which stay at the value tier until an OSR revalidation
-        // demotes them.
-        std::vector<ParamTier> SlotTiers(SlotVec.size(), ParamTier::Value);
-        for (size_t I = 0; I != Tiers.size() && I != SlotTiers.size(); ++I)
-          SlotTiers[I] = Tiers[I];
-        FS.Code =
-            compile(Info, &ArgVec, &Tiers, &PC, &SlotVec, &SlotTiers);
-        FS.Specialized = true;
-        FS.EverSpecialized = true;
-        FS.Sig = makeSpecSig(&Tiers, ArgVec.data(), ArgVec.size());
-        FS.OsrSig = makeSpecSig(&SlotTiers, SlotVec.data(), SlotVec.size());
-      }
+    retireCode(std::move(FS.Code));
+    if (Specialize && !HaveTiers)
+      Tiers = chooseTiers(Info, Frame.OrigArgs.size());
+    if (!Specialize || allGenericTiers(Tiers)) {
+      submit(FS, osrTask(Frame, PC, nullptr));
     } else {
-      FS.Code = compile(Info, nullptr, nullptr, &PC, nullptr);
+      // Frame slots: parameters first (sharing the entry tiers), then
+      // locals, which stay at the value tier until an OSR revalidation
+      // demotes them.
+      std::vector<ParamTier> SlotTiers(Frame.Slots.size(), ParamTier::Value);
+      for (size_t I = 0; I != Tiers.size() && I != SlotTiers.size(); ++I)
+        SlotTiers[I] = Tiers[I];
+      submit(FS, osrTask(Frame, PC, &Tiers, std::move(SlotTiers)));
     }
   }
 
+  // No usable OSR entry (e.g. unreachable loop head), or a free-running
+  // compile still in flight.
   if (!FS.Code || FS.Code->OsrOffset == ~0u)
-    return false; // No usable OSR entry (e.g. unreachable loop head).
+    return false;
 
   ++Stats.OsrEntries;
   if (telemetryEnabled(TelOsr)) {
@@ -1263,374 +1124,6 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
                    Frame.OrigArgs.size(), /*AtOsr=*/true, &OsrSlots,
                    Frame.Env, Frame.ClosureEnv);
   return true;
-}
-
-bool Engine::onCallAsync(JSFunction *Callee, const Value &ThisV,
-                         const Value *Args, size_t NumArgs, Value &Result) {
-  pumpCompileQueue();
-  FunctionInfo *Info = Callee->info();
-  FuncState &FS = state(Info);
-
-  // enqueueCompileTask can run a moving minor collection (it tenures the
-  // task's value snapshots), which would leave the raw callee pointer
-  // stale across a drain-mode retry. Keep a rooted handle and re-derive
-  // at each attempt.
-  TempRoots CalleeRoot(RT.heap());
-  Value CalleeV = Value::function(Callee);
-  CalleeRoot.add(CalleeV);
-
-  // Drain mode retries the dispatch once after blocking on the queue so
-  // compiles take effect at the same trigger points as the synchronous
-  // pipeline (deterministic for differential testing).
-  for (int Attempt = 0;; ++Attempt) {
-    Callee = CalleeV.asFunction();
-    if (FS.Code) {
-      if (!FS.Specialized) {
-        // Generic primary: prefer a matching specialized body from the
-        // shared cache when one exists.
-        if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize) {
-          const SpecSig *HitSig = nullptr;
-          if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-                  Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-            recordCacheHit(FS, *HitSig, Info);
-            Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                             nullptr, nullptr, Callee->environment(),
-                             std::move(CachedCode));
-            return true;
-          }
-        }
-        ++Stats.NativeCalls;
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment());
-        return true;
-      }
-      if (specSigMatches(FS.Sig, Args, NumArgs)) {
-        recordCacheHit(FS, FS.Sig, Info);
-        Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                         nullptr, nullptr, Callee->environment());
-        return true;
-      }
-      for (auto &[Sig, CachedCode] : FS.ExtraSpecializations) {
-        if (specSigMatches(Sig, Args, NumArgs)) {
-          recordCacheHit(FS, Sig, Info);
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(),
-                           CachedCode);
-          return true;
-        }
-      }
-      // Shared-cache secondary dispatch (mirrors the synchronous path):
-      // hit → run it; miss with signature headroom → queue a cache-bound
-      // specialized compile instead of despecializing.
-      if (Cache) {
-        const SpecSig *HitSig = nullptr;
-        if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-                Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-          recordCacheHit(FS, *HitSig, Info);
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(),
-                           std::move(CachedCode));
-          return true;
-        }
-      }
-      if (!FS.CompilePending) {
-        if (FS.ExtraSpecializations.size() + 1 < CacheDepth) {
-          // Cache-depth fill (non-default config): compile synchronously.
-          // Extra slots are additive — there is no stale body whose
-          // replacement latency a background compile would hide.
-          std::vector<Value> ArgVec(Args, Args + NumArgs);
-          std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-          std::shared_ptr<NativeCode> NewCode =
-              compile(Info, &ArgVec, &Tiers, nullptr, nullptr);
-          FS.ExtraSpecializations.emplace_back(makeSpecSig(&Tiers, Args, NumArgs),
-                                               NewCode);
-          ++Stats.NativeCalls;
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(), NewCode);
-          return true;
-        }
-        if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize &&
-            Cache->entriesFor(Info) < CodeCacheSigLimit) {
-          // Grow the shared cache: the caller interprets while the
-          // cache-bound body compiles (drain mode retries below and
-          // hits the fresh entry).
-          Cache->noteMiss();
-          auto Task = std::make_unique<CompileTask>();
-          Task->Priority = CompilePriority::Recompile;
-          Task->Specialized = true;
-          Task->SpecArgs.assign(Args, Args + NumArgs);
-          Task->ChooseTiersOnWorker = Policy == TierPolicy::Tiered;
-          Task->ForCodeCache = true;
-          enqueueCompileTask(Info, FS, std::move(Task));
-          if (CompileDrainMode && FS.CompilePending && Attempt == 0) {
-            drainCompiles();
-            continue;
-          }
-          ++Stats.InterpretedCalls;
-          return false;
-        }
-        // Specialization miss: make the policy decision now, but keep
-        // the stale body linked until its replacement publishes —
-        // matching calls still hit it; mismatching calls interpret.
-        if (Cache)
-          Cache->noteMiss();
-        ++Stats.Despecializations;
-        FS.EverDespecialized = true;
-        ++FS.Generation;
-        if (Cache)
-          Cache->invalidate(Info, Reclaimer);
-        auto Task = std::make_unique<CompileTask>();
-        Task->Priority = CompilePriority::Recompile;
-        if (Policy == TierPolicy::Paper) {
-          FS.Cause = DespecializeCause::DifferentArgs;
-          recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                           "different-args");
-          FS.NeverSpecialize = true;
-        } else {
-          bool SawTypeMismatch = false;
-          std::vector<ParamTier> NewTiers =
-              demoteTiers(Info, FS.Sig, Args, NumArgs, SawTypeMismatch);
-          FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                     : DespecializeCause::ValueMismatch;
-          recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                           despecializeCauseName(FS.Cause));
-          if (allGenericTiers(NewTiers)) {
-            ++Stats.GenericFallbacks;
-            FS.NeverSpecialize = true;
-          } else {
-            Task->Specialized = true;
-            Task->SpecArgs.assign(Args, Args + NumArgs);
-            Task->HaveTiers = true;
-            Task->Tiers = std::move(NewTiers);
-          }
-        }
-        enqueueCompileTask(Info, FS, std::move(Task));
-      }
-    } else {
-      if (Info->CallCount < CallThreshold) {
-        ++Stats.InterpretedCalls;
-        return false;
-      }
-      // No primary yet: in cache mode the shared cache is the entry
-      // dispatch — an earlier session's body may already fit.
-      if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize) {
-        const SpecSig *HitSig = nullptr;
-        if (std::shared_ptr<NativeCode> CachedCode = Cache->lookup(
-                Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
-          recordCacheHit(FS, *HitSig, Info);
-          Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                           nullptr, nullptr, Callee->environment(),
-                           std::move(CachedCode));
-          return true;
-        }
-      }
-      if (!FS.CompilePending) {
-        bool Specialize =
-            Config.ParameterSpecialization && !FS.NeverSpecialize;
-        if (Specialize && Cache &&
-            Cache->entriesFor(Info) >= CodeCacheSigLimit) {
-          // Per-function signature cap (see the synchronous path): the
-          // polymorphic tail gets a generic primary while the cached
-          // signatures keep serving the hot-argument traffic.
-          recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                           "sig-cap");
-          Specialize = false;
-        }
-        auto Task = std::make_unique<CompileTask>();
-        // A function that already had a binary (bailout discard) is
-        // interpreting right now; its recompile outranks first compiles.
-        Task->Priority = FS.Compiles ? CompilePriority::Recompile
-                                     : CompilePriority::FirstCompile;
-        if (Specialize) {
-          Task->Specialized = true;
-          Task->SpecArgs.assign(Args, Args + NumArgs);
-          Task->ChooseTiersOnWorker = Policy == TierPolicy::Tiered;
-          if (Cache) {
-            // Route the specialized body into the shared cache (misses
-            // are counted per compile decision, not per waiting call).
-            Cache->noteMiss();
-            Task->ForCodeCache = true;
-          }
-        }
-        enqueueCompileTask(Info, FS, std::move(Task));
-      }
-    }
-    if (CompileDrainMode && FS.CompilePending && Attempt == 0) {
-      drainCompiles();
-      continue;
-    }
-    ++Stats.InterpretedCalls;
-    return false;
-  }
-}
-
-bool Engine::onLoopHeadAsync(InterpFrame &Frame, uint32_t PC, Value &Result) {
-  pumpCompileQueue();
-  FunctionInfo *Info = Frame.Info;
-  if (Info->BackEdgeCount < LoopThreshold)
-    return false;
-  FuncState &FS = state(Info);
-
-  for (int Attempt = 0;; ++Attempt) {
-    if (FS.Code && FS.Code->OsrPc == PC) {
-      if (FS.Specialized &&
-          !specSigMatches(FS.OsrSig, Frame.Slots.data(), Frame.Slots.size())) {
-        // OSR revalidation miss. Decide the policy response once, queue
-        // the replacement, and keep interpreting the loop until it
-        // publishes (the stale body stays linked for entry calls whose
-        // arguments still match).
-        if (!FS.CompilePending) {
-          ++Stats.Despecializations;
-          FS.EverDespecialized = true;
-          ++FS.Generation;
-          if (Cache)
-            Cache->invalidate(Info, Reclaimer);
-          auto Task = std::make_unique<CompileTask>();
-          Task->Priority = CompilePriority::Recompile;
-          Task->IsOsr = true;
-          Task->HasOsr = true;
-          Task->OsrPc = PC;
-          if (Policy == TierPolicy::Paper) {
-            FS.Cause = DespecializeCause::OsrRevalidation;
-            recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                             "osr-revalidation");
-            // Cache mode: stale frame slots invalidate this OSR body,
-            // not the function's future entry specializations.
-            if (!Cache)
-              FS.NeverSpecialize = true;
-          } else {
-            bool SawTypeMismatch = false;
-            std::vector<ParamTier> SlotTiers =
-                demoteTiers(Info, FS.OsrSig, Frame.Slots.data(),
-                            Frame.Slots.size(), SawTypeMismatch);
-            FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                       : DespecializeCause::ValueMismatch;
-            recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                             despecializeCauseName(FS.Cause));
-            if (allGenericTiers(SlotTiers)) {
-              ++Stats.GenericFallbacks;
-              FS.NeverSpecialize = true;
-            } else {
-              std::vector<ParamTier> EntryTiers(
-                  SlotTiers.begin(),
-                  SlotTiers.begin() +
-                      std::min<size_t>(Info->NumParams, SlotTiers.size()));
-              Task->Specialized = true;
-              Task->SpecArgs = Frame.OrigArgs;
-              Task->HaveTiers = true;
-              Task->Tiers = std::move(EntryTiers);
-              Task->OsrSlots = Frame.Slots;
-              Task->HaveOsrTiers = true;
-              Task->OsrTiers = std::move(SlotTiers);
-            }
-          }
-          enqueueCompileTask(Info, FS, std::move(Task));
-        }
-        if (CompileDrainMode && FS.CompilePending && Attempt == 0) {
-          drainCompiles();
-          continue;
-        }
-        return false; // Stale OSR body is not enterable with these slots.
-      }
-    } else {
-      // No binary serves this loop head yet.
-      if (!FS.CompilePending) {
-        // Same compile-storm guard as the synchronous path, same
-        // ordering: before the despec bookkeeping, so a storm-bound
-        // function neither re-counts despecializations on every loop
-        // head nor mutates policy state for a compile that will never
-        // be enqueued.
-        if (FS.Code && FS.Compiles > 8)
-          return false;
-        bool Specialize =
-            Config.ParameterSpecialization && !FS.NeverSpecialize;
-        bool HaveTiers = false;
-        std::vector<ParamTier> Tiers;
-        if (FS.Specialized && FS.Code &&
-            !specSigMatches(FS.Sig, Frame.OrigArgs.data(),
-                        Frame.OrigArgs.size())) {
-          // The running frame's arguments differ from the cached
-          // specialization (mirrors the synchronous loop-head despec).
-          ++Stats.Despecializations;
-          FS.EverDespecialized = true;
-          ++FS.Generation;
-          if (Cache)
-            Cache->invalidate(Info, Reclaimer);
-          if (Policy == TierPolicy::Paper) {
-            FS.Cause = DespecializeCause::DifferentArgs;
-            recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                             "different-args");
-            // Cache mode: this OSR body goes generic without poisoning
-            // future entry specializations.
-            if (!Cache)
-              FS.NeverSpecialize = true;
-            Specialize = false;
-          } else {
-            bool SawTypeMismatch = false;
-            Tiers = demoteTiers(Info, FS.Sig, Frame.OrigArgs.data(),
-                                Frame.OrigArgs.size(), SawTypeMismatch);
-            HaveTiers = true;
-            FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                       : DespecializeCause::ValueMismatch;
-            recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                             despecializeCauseName(FS.Cause));
-            if (allGenericTiers(Tiers)) {
-              ++Stats.GenericFallbacks;
-              FS.NeverSpecialize = true;
-              Specialize = false;
-            }
-          }
-        }
-        auto Task = std::make_unique<CompileTask>();
-        Task->Priority = FS.Code ? CompilePriority::Recompile
-                                 : CompilePriority::FirstCompile;
-        Task->IsOsr = true;
-        Task->HasOsr = true;
-        Task->OsrPc = PC;
-        if (Specialize) {
-          Task->Specialized = true;
-          Task->SpecArgs = Frame.OrigArgs;
-          Task->OsrSlots = Frame.Slots;
-          if (HaveTiers) {
-            Task->HaveTiers = true;
-            Task->Tiers = std::move(Tiers);
-          } else {
-            Task->ChooseTiersOnWorker = Policy == TierPolicy::Tiered;
-          }
-          // OSR slot tiers are derived on the worker (parameters share
-          // the entry tiers, locals stay value-tier), the same shape
-          // the synchronous path builds.
-        }
-        enqueueCompileTask(Info, FS, std::move(Task));
-      }
-      if (CompileDrainMode && FS.CompilePending && Attempt == 0) {
-        drainCompiles();
-        continue;
-      }
-      if (!FS.Code || FS.Code->OsrPc != PC)
-        return false;
-    }
-    // An installed binary serves this loop head: enter if it has a
-    // usable OSR entry and (when specialized) the live slots match.
-    if (!FS.Code || FS.Code->OsrPc != PC || FS.Code->OsrOffset == ~0u)
-      return false;
-    if (FS.Specialized &&
-        !specSigMatches(FS.OsrSig, Frame.Slots.data(), Frame.Slots.size()))
-      return false; // Slots moved on while the compile was in flight.
-    ++Stats.OsrEntries;
-    if (telemetryEnabled(TelOsr)) {
-      TelemetryEvent E;
-      E.Kind = TelemetryEventKind::OsrEntry;
-      E.setFunc(Info->Name);
-      E.A = PC;
-      telemetry().record(E);
-    }
-    std::vector<Value> OsrSlots = Frame.Slots;
-    Result = execute(FS, Info, Frame.ThisV, Frame.OrigArgs.data(),
-                     Frame.OrigArgs.size(), /*AtOsr=*/true, &OsrSlots,
-                     Frame.Env, Frame.ClosureEnv);
-    return true;
-  }
 }
 
 std::vector<Engine::FunctionReport> Engine::functionReports() const {
@@ -1730,13 +1223,16 @@ void Engine::publishMetrics() {
   }
 }
 
+
 NativeCode *Engine::compileNow(FunctionInfo *Info,
                                const std::vector<Value> *Args,
                                const std::vector<ParamTier> *Tiers) {
   FuncState &FS = state(Info);
-  FS.Code = compile(Info, Args, Args ? Tiers : nullptr, nullptr, nullptr);
-  FS.Specialized = Args != nullptr;
-  if (Args)
-    FS.Sig = makeSpecSig(Tiers, Args->data(), Args->size());
-  return FS.Code.get();
+  std::vector<ParamTier> TaskTiers = Tiers ? *Tiers : std::vector<ParamTier>();
+  if (!Args)
+    FS.Specialized = false;
+  return submit(FS, entryTask(Info, Args ? Args->data() : nullptr,
+                              Args ? Args->size() : 0,
+                              Args ? &TaskTiers : nullptr))
+      .get();
 }

@@ -39,7 +39,6 @@ namespace jitvs {
 
 class CallProfiler;
 class CodeCache;
-struct ParamStability;
 
 /// How the engine specializes and reacts to specialization misses.
 enum class TierPolicy : uint8_t {
@@ -128,19 +127,22 @@ struct EngineKnobs {
   uint32_t BailoutLimit = 12;
   uint32_t CacheDepth = 1;
   uint32_t ValueStabilityMax = 1;
-  /// Background compilation workers. 0 (the default) is the legacy
-  /// synchronous pipeline, bit-for-bit identical to pre-queue behavior;
-  /// N >= 1 compiles off-thread while the caller keeps interpreting.
-  /// Env: JITVS_COMPILE_THREADS (a number, or "auto" = hw_concurrency-1).
+  /// Background compilation workers. 0 (the default) runs each compile
+  /// inline on the calling thread; N >= 1 queues it for a worker while
+  /// the caller keeps interpreting. The policy decisions are the same
+  /// code in both modes. Env: JITVS_COMPILE_THREADS (a number, or
+  /// "auto" = hw_concurrency-1).
   uint32_t CompileThreads = 0;
   /// Deterministic mode for differential testing: block on the queue
-  /// right after every enqueue, so compiles land at the same trigger
-  /// points as the synchronous pipeline while still exercising the
-  /// cross-thread publication machinery. Env: JITVS_COMPILE_DRAIN=1.
+  /// right after every enqueue and run the installed binary, exactly
+  /// where the inline mode would, while still exercising the
+  /// cross-thread publication machinery. Every EngineStats and
+  /// CodeCache::Stats count equals the inline mode's (the parity test
+  /// in tests/CompileQueueTest.cpp). Env: JITVS_COMPILE_DRAIN=1.
   bool CompileDrain = false;
   /// Byte budget of the shared SpecSig-keyed code cache (jit/CodeCache.h).
-  /// 0 (the default) disables the cache entirely — dispatch is bit-for-bit
-  /// the legacy one-binary-per-function policy. Non-zero enables
+  /// 0 (the default) disables the cache entirely — dispatch is the
+  /// paper's one-binary-per-function policy. Non-zero enables
   /// cross-session reuse of specialized bodies under cost-aware LRU
   /// eviction. Env: JITVS_CODE_CACHE_BYTES.
   size_t CodeCacheBytes = 0;
@@ -213,7 +215,7 @@ public:
   DispatchMode dispatchMode() const { return Exec.dispatchMode(); }
 
   /// Off-thread compilation (fixed at construction; see
-  /// EngineKnobs::CompileThreads). 0 = synchronous legacy pipeline.
+  /// EngineKnobs::CompileThreads). 0 = every compile runs inline.
   unsigned compileThreads() const { return CompileThreadCount; }
   bool compileDrainMode() const { return CompileDrainMode; }
   /// Blocks until every queued compile has finished, then installs the
@@ -223,7 +225,8 @@ public:
   /// Queued-but-unstarted background compiles (0 in synchronous mode).
   size_t pendingCompiles() const { return Queue ? Queue->depth() : 0; }
   /// The deferred-reclamation parking lot for unlinked binaries
-  /// (test/introspection hook; populated in background and cache modes).
+  /// (test/introspection hook). Every replaced, discarded or evicted
+  /// binary parks here until no frame can still be running it.
   const CodeReclaimer &codeReclaimer() const { return Reclaimer; }
 
   /// The shared SpecSig-keyed code cache, or nullptr when disabled
@@ -270,9 +273,10 @@ public:
   void publishMetrics();
 
   /// Compiles \p Info immediately (test/bench hook). Returns the code (or
-  /// nullptr on unsupported shapes). \p Args non-null => specialized;
-  /// \p Tiers (paired with Args) selects per-parameter tiers, nullptr =
-  /// all value-tier (paper behavior).
+  /// nullptr while a free-running background compile is in flight).
+  /// \p Args non-null => specialized; \p Tiers (paired with Args)
+  /// selects per-parameter tiers, nullptr = all value-tier (paper
+  /// behavior).
   NativeCode *compileNow(FunctionInfo *Info, const std::vector<Value> *Args,
                          const std::vector<ParamTier> *Tiers = nullptr);
 
@@ -305,85 +309,63 @@ private:
     size_t MinCodeSize = SIZE_MAX;
     size_t MinCodeSizePostFusion = SIZE_MAX;
     uint32_t FusedOps = 0;
-    // --- Background-compilation state (unused in synchronous mode) ---
     /// Bumped whenever the policy state an in-flight compile was built
-    /// against is invalidated (despecialization decision, bailout-limit
-    /// discard). A finished task whose stamped generation no longer
-    /// matches is dropped at publication time instead of installed.
+    /// against is invalidated (bailout-limit discard, cache
+    /// invalidation). A finished task whose stamped generation no longer
+    /// matches is dropped at install instead of linked; cache entries
+    /// carry the same stamp.
     uint32_t Generation = 0;
-    /// A queued/running compile exists for this function; gates
-    /// re-enqueueing and policy re-decisions until it publishes.
+    /// A queued/running compile exists for this function (free-running
+    /// background mode only); gates policy decisions and re-enqueueing
+    /// until it installs.
     bool CompilePending = false;
   };
 
   FuncState &state(FunctionInfo *Info);
 
-  /// Compiles \p Info synchronously on the main thread. \p SpecArgs
-  /// non-null => parameter specialization with per-parameter \p Tiers
-  /// (nullptr = all value-tier). \p OsrPc/\p OsrSlots/\p OsrTiers build
-  /// an OSR entry. \p ForCache skips the AllCode pin — the body's
-  /// lifetime (and its pool's rooting) is owned by a CodeCache entry or
-  /// the reclaimer instead, so the cache's byte budget can actually free
-  /// memory.
-  std::shared_ptr<NativeCode>
-  compile(FunctionInfo *Info, const std::vector<Value> *SpecArgs,
-          const std::vector<ParamTier> *Tiers, const uint32_t *OsrPc,
-          const std::vector<Value> *OsrSlots,
-          const std::vector<ParamTier> *OsrTiers = nullptr,
-          bool ForCache = false);
+  /// Runs one policy decision's compile. Without a queue it compiles
+  /// inline (live feedback, the main heap) and installs; with one it
+  /// enqueues, and in drain mode also waits and installs. \returns the
+  /// installed binary, or nullptr while a free-running compile is still
+  /// in flight (the caller interprets meanwhile).
+  std::shared_ptr<NativeCode> submit(FuncState &FS,
+                                     std::unique_ptr<CompileTask> Task);
 
-  /// The thread-agnostic middle of compile(): build -> inline ->
-  /// optimize -> verify -> codegen -> fuse. Touches no engine state;
-  /// \p FoldRT supplies the heap/helpers constant folding uses (the
-  /// engine's own Runtime on the main thread, a worker-private one
-  /// off-thread), \p Feedback overrides the live feedback maps for
-  /// background builds, and \p OnMainThread gates the GraphRoots
-  /// registration (worker fold allocations are instead kept alive by
-  /// the worker heap's disabled GC).
-  struct PipelineOut {
-    std::shared_ptr<NativeCode> Code;
-    double Seconds = 0.0;
-    unsigned Fused = 0;
-  };
-  PipelineOut runCompilePipeline(FunctionInfo *Info,
-                                 const std::vector<Value> *SpecArgs,
-                                 const std::vector<ParamTier> *Tiers,
-                                 const uint32_t *OsrPc,
-                                 const std::vector<Value> *OsrSlots,
-                                 const std::vector<ParamTier> *OsrTiers,
-                                 Runtime &FoldRT,
-                                 const FeedbackSnapshot *Feedback,
-                                 bool OnMainThread);
+  /// Build -> inline -> optimize -> verify -> codegen -> fuse for one
+  /// task. Touches no engine state; \p FoldRT supplies the heap/helpers
+  /// constant folding uses (the engine's own Runtime inline, a
+  /// worker-private one off-thread), and \p OnMainThread gates the
+  /// GraphRoots registration (worker fold allocations are instead kept
+  /// alive by the worker heap's disabled GC).
+  std::unique_ptr<CompileOutcome>
+  runCompilePipeline(const CompileTask &Task, Runtime &FoldRT,
+                     bool OnMainThread);
 
-  // --- Off-thread compilation (tentpole of the background pipeline) ---
+  // --- Off-thread compilation ---
   /// Spawns the worker pool + per-worker fold Runtimes (no-op when
   /// CompileThreadCount is 0).
   void initCompileQueue();
-  /// Runs one task on a worker thread: optional profiler-driven tier
-  /// choice, the pipeline against \p FoldRT, then release-publication
-  /// of the outcome into the task's result slot.
+  /// Runs one task on a worker thread: the pipeline against \p FoldRT,
+  /// then release-publication of the outcome into the task's result
+  /// slot.
   void workerCompile(CompileTask &Task, Runtime &FoldRT);
-  /// Dispatch-boundary safepoint: ticks the reclamation epoch and
-  /// installs every finished compile (or drops stale ones).
-  void pumpCompileQueue();
-  void installCompleted(CompileTask &Task);
-  /// Unlinks a replaced binary. Background mode parks it on the
-  /// reclaimer (in-flight frames may still run it and its pool must
-  /// stay rooted); synchronous mode just drops the reference (AllCode
-  /// keeps the pool rooted, exactly the legacy behavior).
+  /// Installs every finished background compile (or drops stale ones),
+  /// first blocking until the queue is idle when \p Wait. \returns the
+  /// binary installed for \p Wanted, if it was among them.
+  std::shared_ptr<NativeCode>
+  installFinished(bool Wait, const CompileTask *Wanted = nullptr);
+  /// The one install path: records the compile's stats, links the binary
+  /// into its target (primary slot, extra slot or shared cache) and
+  /// clears FS.CompilePending. Drops results whose generation is stale.
+  std::shared_ptr<NativeCode> installCompleted(CompileTask &Task);
+  /// Unlinks a binary: parks it on the reclaimer, which keeps its pool
+  /// rooted and frees it once no in-flight frame can still run it.
   void retireCode(std::shared_ptr<NativeCode> Code);
-  /// Builds + enqueues an entry/OSR task; sets FS.CompilePending unless
+  /// Enqueues a task built by the policy; sets FS.CompilePending unless
   /// the queue rejected it (backlog full — retried at the next trigger).
-  void enqueueCompileTask(FunctionInfo *Info, FuncState &FS,
-                          std::unique_ptr<CompileTask> Task);
+  void enqueueCompileTask(FuncState &FS, std::shared_ptr<CompileTask> Task);
   /// Immutable whole-program feedback copy for one background build.
   std::shared_ptr<const FeedbackSnapshot> captureFeedback(FunctionInfo *Info);
-  /// Async twins of the dispatch hooks, used when a queue exists. They
-  /// mirror the synchronous policy decisions but never compile inline:
-  /// the caller keeps interpreting while the compile is in flight.
-  bool onCallAsync(JSFunction *Callee, const Value &ThisV, const Value *Args,
-                   size_t NumArgs, Value &Result);
-  bool onLoopHeadAsync(InterpFrame &Frame, uint32_t PC, Value &Result);
 
   // Signature construction/matching (makeSpecSig, specSigMatches,
   // specSigTier) are free functions in jit/SpecSig.h, shared with the
@@ -391,18 +373,8 @@ private:
 
   /// Tiered policy: initial per-parameter tiers for \p Info, consulting
   /// the profiler when attached (all-Value otherwise). Main-thread only
-  /// (reads the live profile tables).
+  /// (reads the live profile tables); tasks carry the result.
   std::vector<ParamTier> chooseTiers(FunctionInfo *Info, size_t NumArgs);
-
-  /// Worker-safe variant: reads the profiler's seqlock-published
-  /// stability snapshot instead of the live tables.
-  std::vector<ParamTier> chooseTiersFromSnapshot(const FunctionInfo *Info,
-                                                 size_t NumArgs) const;
-
-  /// Shared ladder mapping from per-slot stability to initial tiers.
-  std::vector<ParamTier>
-  tiersFromStability(const std::vector<ParamStability> &Stab,
-                     size_t NumArgs) const;
 
   /// Tiered policy: the demotion step. Computes the post-miss tier of
   /// every signature entry given the observed \p Args, records demotion
@@ -428,24 +400,22 @@ private:
   OptConfig Config;
   Executor Exec;
   std::unordered_map<FunctionInfo *, FuncState> States;
-  /// Every binary ever produced: keeps constant pools GC-rooted for the
-  /// lifetime of any in-flight execution and feeds the code-size tables.
-  std::vector<std::shared_ptr<NativeCode>> AllCode;
   EngineStats Stats;
   const CallProfiler *Profiler = nullptr;
 
-  uint32_t CallThreshold = 8;
-  uint32_t LoopThreshold = 100;
-  uint32_t BailoutLimit = 12;
-  uint32_t CacheDepth = 1; ///< The paper's policy.
-  TierPolicy Policy = TierPolicy::Paper;
-  uint32_t ValueStabilityMax = 1;
-  bool FusionEnabled = true;
+  // Seeded from EngineKnobs, which holds the defaults.
+  uint32_t CallThreshold;
+  uint32_t LoopThreshold;
+  uint32_t BailoutLimit;
+  uint32_t CacheDepth;
+  TierPolicy Policy;
+  uint32_t ValueStabilityMax;
+  bool FusionEnabled;
   bool MetricsPublished = false; ///< publishMetrics ran (at most once).
 
   // --- Off-thread compilation ---
-  unsigned CompileThreadCount = 0; ///< 0 = synchronous legacy pipeline.
-  bool CompileDrainMode = false;
+  unsigned CompileThreadCount; ///< 0 = every compile runs inline.
+  bool CompileDrainMode;
   /// One private Runtime per worker: constant folding's heap and helper
   /// state without racing the main heap. GC is disabled on these heaps
   /// (fold temporaries are unrooted there); allocations that survive to

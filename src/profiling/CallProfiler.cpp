@@ -4,7 +4,6 @@
 
 #include "telemetry/Metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace jitvs;
@@ -42,80 +41,6 @@ void CallProfiler::recordCall(FunctionInfo *Callee, const Value *Args,
       S.ValuesSaturated = true;
     else
       S.ValueHashes.insert(VH);
-  }
-
-  publishStability(Callee, P);
-}
-
-static uint32_t popcount32(uint32_t Mask) {
-  uint32_t N = 0;
-  while (Mask) {
-    ++N;
-    Mask &= Mask - 1;
-  }
-  return N;
-}
-
-void CallProfiler::publishStability(const FunctionInfo *Info,
-                                    const FuncProfile &P) {
-  StabilityCell *Cell;
-  {
-    std::shared_lock<std::shared_mutex> Read(CellsMu);
-    auto It = Cells.find({CurrentUnit, Info});
-    Cell = It == Cells.end() ? nullptr : It->second.get();
-  }
-  if (!Cell) {
-    std::unique_lock<std::shared_mutex> Write(CellsMu);
-    auto &Slot = Cells[{CurrentUnit, Info}];
-    if (!Slot)
-      Slot = std::make_unique<StabilityCell>();
-    Cell = Slot.get();
-  }
-
-  // Seqlock write: odd sequence while the counters are torn, even when
-  // consistent again. Single writer (the main thread), so a plain
-  // read-modify-write of Seq is fine.
-  uint32_t S = Cell->Seq.load(std::memory_order_relaxed);
-  Cell->Seq.store(S + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  size_t N = std::min(P.Params.size(), StabilityCell::MaxSlots);
-  Cell->NumSlots.store(static_cast<uint32_t>(N), std::memory_order_relaxed);
-  for (size_t I = 0; I != N; ++I) {
-    const ParamStats &PS = P.Params[I];
-    uint32_t Distinct = static_cast<uint32_t>(PS.ValueHashes.size()) +
-                        (PS.ValuesSaturated ? 1 : 0);
-    Cell->Values[I].store(Distinct, std::memory_order_relaxed);
-    Cell->Tags[I].store(popcount32(PS.TagMask), std::memory_order_relaxed);
-  }
-  Cell->Seq.store(S + 2, std::memory_order_release);
-}
-
-std::vector<ParamStability>
-CallProfiler::paramStabilitySnapshot(const FunctionInfo *Info) const {
-  const StabilityCell *Cell;
-  {
-    std::shared_lock<std::shared_mutex> Read(CellsMu);
-    auto It = Cells.find({CurrentUnit, Info});
-    if (It == Cells.end())
-      return {};
-    Cell = It->second.get();
-  }
-  std::vector<ParamStability> Out;
-  for (;;) {
-    Out.clear();
-    uint32_t S1 = Cell->Seq.load(std::memory_order_acquire);
-    if (S1 & 1)
-      continue; // Write in progress; retry.
-    uint32_t N = Cell->NumSlots.load(std::memory_order_relaxed);
-    for (uint32_t I = 0; I != N && I != StabilityCell::MaxSlots; ++I) {
-      ParamStability PS;
-      PS.DistinctValues = Cell->Values[I].load(std::memory_order_relaxed);
-      PS.DistinctTags = Cell->Tags[I].load(std::memory_order_relaxed);
-      Out.push_back(PS);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (Cell->Seq.load(std::memory_order_relaxed) == S1)
-      return Out;
   }
 }
 

@@ -14,10 +14,7 @@
 #include "vm/Runtime.h"
 
 #include <array>
-#include <atomic>
 #include <map>
-#include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -101,36 +98,15 @@ public:
   /// Per-parameter stability of \p Info in the current unit. Index I
   /// describes argument slot I. Empty when the function has not been
   /// observed (callers should then assume nothing and stay optimistic).
-  /// Main-thread only: walks the live profile tables.
+  /// Main-thread only: walks the live profile tables (the engine picks
+  /// tiers when it builds a compile task, never on a worker).
   std::vector<ParamStability> paramStability(const FunctionInfo *Info) const;
-
-  /// Thread-safe variant for background compile workers: reads a
-  /// seqlock-published copy of the same counters, so it never touches
-  /// the hash sets recordCall mutates. Returns the same numbers as
-  /// paramStability (possibly one call stale — the tier policy tolerates
-  /// staleness; a wrong guess despecializes like any other miss).
-  std::vector<ParamStability>
-  paramStabilitySnapshot(const FunctionInfo *Info) const;
 
 private:
   struct ParamStats {
     std::unordered_set<uint64_t> ValueHashes; ///< Capped.
     uint32_t TagMask = 0; ///< Bit per ValueTag.
     bool ValuesSaturated = false;
-  };
-
-  /// Seqlock-published mirror of one function's per-slot counters.
-  /// Single writer (recordCall, main thread), any number of lock-free
-  /// readers (compile workers). Data fields are relaxed atomics so the
-  /// torn intermediate states a seqlock retries through are still
-  /// data-race-free; Seq's acquire/release pairing makes a verified
-  /// even-to-even read a consistent snapshot.
-  struct StabilityCell {
-    static constexpr size_t MaxSlots = 16;
-    std::atomic<uint32_t> Seq{0};
-    std::atomic<uint32_t> NumSlots{0};
-    std::atomic<uint32_t> Values[MaxSlots] = {};
-    std::atomic<uint32_t> Tags[MaxSlots] = {};
   };
 
   struct FuncProfile {
@@ -145,18 +121,7 @@ private:
     std::vector<ParamStats> Params;
   };
 
-  /// Mirrors \p P's per-slot counters into the function's StabilityCell
-  /// under the seqlock write protocol (creating the cell on first call).
-  void publishStability(const FunctionInfo *Info, const FuncProfile &P);
-
   std::map<std::pair<uint64_t, const FunctionInfo *>, FuncProfile> Profiles;
-  /// Seqlock cells mirrored from Profiles. The map itself is guarded by
-  /// CellsMu (writer inserts under an exclusive lock, readers look up
-  /// under a shared one); the cells' contents need no lock.
-  mutable std::shared_mutex CellsMu;
-  std::map<std::pair<uint64_t, const FunctionInfo *>,
-           std::unique_ptr<StabilityCell>>
-      Cells;
   uint64_t CurrentUnit = 0;
   uint64_t TotalCalls = 0;
 };

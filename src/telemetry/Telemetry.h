@@ -85,8 +85,8 @@ enum class TelemetryEventKind : uint8_t {
   Despecialize, ///< [cache] Detail=cause (different-args|osr-revalidation).
   Discard,      ///< [cache] binary dropped; Detail=cause (bailout-limit).
   TierTransition, ///< [cache] a parameter moved down the specialization
-                  ///< ladder; Detail=edge ("value->type"|"type->generic"),
-                  ///< A=parameter index.
+                  ///< ladder; Detail=edge ("value->type"|"value->generic"|
+                  ///< "type->generic"|"arity->generic"), A=parameter index.
   Bailout,      ///< [bailout] Reason set; A=native pc, B=bytecode pc.
   OsrEntry,     ///< [osr] A=loop-head bytecode pc.
   Script,       ///< [script] span; one Runtime::evaluate.

@@ -4,15 +4,19 @@
 /// The off-thread compilation pipeline: queue dedup/coalescing and
 /// priority ordering, shutdown with jobs still pending, cross-thread
 /// result publication through the atomic Result slot, deferred code
-/// reclamation, and the engine-level drain mode that makes background
-/// compiles land at the same trigger points as the synchronous pipeline.
+/// reclamation, and the engine-level drain mode, whose counts must equal
+/// the inline compiles' on every program.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/ProgramGen.h"
+#include "jit/CodeCache.h"
 #include "jit/CompileQueue.h"
 #include "jit/Engine.h"
 #include "native/NativeCode.h"
+#include "telemetry/BailoutReason.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -145,7 +149,7 @@ TEST(CompileQueue, PublicationIsVisibleThroughAcquireLoad) {
                    EXPECT_EQ(WorkerIdx, 0u);
                    auto Out = std::make_unique<CompileOutcome>();
                    Out->Seconds = 1.25;
-                   Out->Specialized = true;
+                   Out->Fused = 3;
                    Task.Result.store(Out.release(),
                                      std::memory_order_release);
                  });
@@ -159,7 +163,7 @@ TEST(CompileQueue, PublicationIsVisibleThroughAcquireLoad) {
   while (!(Out = Task->Result.load(std::memory_order_acquire)))
     std::this_thread::yield();
   EXPECT_EQ(Out->Seconds, 1.25);
-  EXPECT_TRUE(Out->Specialized);
+  EXPECT_EQ(Out->Fused, 3u);
 
   while (!Q.hasCompleted())
     std::this_thread::yield();
@@ -213,44 +217,151 @@ TEST(CodeReclaimer, HonorsEpochGracePeriod) {
   EXPECT_EQ(R.pending(), 0u);
 }
 
-TEST(AsyncEngine, DrainModeMatchesSynchronousPipeline) {
-  const char *Source = "function f(x) { return x * 2 + 1; }"
-                       "var s = 0;"
-                       "for (var i = 0; i < 100; i++) s = s + f(7);"
-                       "f(9);" // Despecialize: different argument.
-                       "for (var i = 0; i < 100; i++) s = s + f(9);"
-                       "print(s);";
+TEST(CodeReclaimer, SynchronousDespecializationRetiresTheOldBody) {
+  EngineKnobs Knobs; // Paper policy, inline compiles, no code cache.
+  Knobs.CallThreshold = 3;
+  Knobs.LoopThreshold = 1000000; // Keep top-level code interpreted.
+  Runtime RT;
+  Engine E(RT, OptConfig::all(), Knobs);
+  // The last call has a different argument: the specialized body is
+  // unlinked and parked.
+  RT.evaluate("function f(x) { return x + 1; }"
+              "for (var i = 0; i < 10; i++) f(7);"
+              "f(9);");
+  ASSERT_FALSE(RT.hasError());
+  EXPECT_EQ(E.stats().Despecializations, 1u);
+  EXPECT_EQ(E.codeReclaimer().pending(), 1u);
+  // Each call is a dispatch boundary; two later, nothing can still be
+  // running the old body and it is freed.
+  RT.evaluate("function g() { return 0; } g();");
+  EXPECT_EQ(E.codeReclaimer().pending(), 1u);
+  RT.evaluate("function h() { return 0; } h();");
+  EXPECT_EQ(E.codeReclaimer().pending(), 0u);
+}
 
-  EngineKnobs Sync;
-  Sync.CallThreshold = 10;
-  Sync.LoopThreshold = 1000000; // Keep top-level code interpreted.
-  EngineKnobs Async = Sync;
-  Async.CompileThreads = 2;
-  Async.CompileDrain = true;
+/// Every count one run leaves behind: EngineStats without its two
+/// wall-clock fields, and the code cache's own counters.
+struct RunCounts {
+  EngineStats Stats;
+  CodeCache::Stats Cache;
+  std::string Output;
+};
 
-  Runtime SyncRT;
-  Engine SyncE(SyncRT, OptConfig::all(), Sync);
-  SyncRT.evaluate(Source);
-  ASSERT_FALSE(SyncRT.hasError());
+RunCounts runCounted(const std::string &Source, const EngineKnobs &Knobs) {
+  Runtime RT;
+  Engine E(RT, OptConfig::all(), Knobs);
+  RT.evaluate(Source);
+  RunCounts R;
+  R.Stats = E.stats();
+  if (E.codeCache())
+    R.Cache = E.codeCache()->stats();
+  R.Output = RT.hasError() ? "error: " + RT.errorMessage() : RT.output();
+  return R;
+}
 
-  Runtime AsyncRT;
-  Engine AsyncE(AsyncRT, OptConfig::all(), Async);
-  EXPECT_EQ(AsyncE.compileThreads(), 2u);
-  AsyncRT.evaluate(Source);
-  ASSERT_FALSE(AsyncRT.hasError());
+/// Names each count that differs between \p A and \p B.
+std::string countDiff(const RunCounts &A, const RunCounts &B) {
+  std::string Diff;
+  auto Check = [&](const char *Name, uint64_t X, uint64_t Y) {
+    if (X != Y)
+      Diff += std::string(" ") + Name + " " + std::to_string(X) + " vs " +
+              std::to_string(Y) + ";";
+  };
+#define JITVS_CHECK_STAT(F) Check(#F, A.Stats.F, B.Stats.F)
+  JITVS_CHECK_STAT(Compilations);
+  JITVS_CHECK_STAT(Recompilations);
+  JITVS_CHECK_STAT(SpecializedCompiles);
+  JITVS_CHECK_STAT(GenericCompiles);
+  JITVS_CHECK_STAT(Despecializations);
+  JITVS_CHECK_STAT(CacheHits);
+  JITVS_CHECK_STAT(ValueTierHits);
+  JITVS_CHECK_STAT(TypeTierHits);
+  JITVS_CHECK_STAT(TierDemotionsValueToType);
+  JITVS_CHECK_STAT(TierDemotionsToGeneric);
+  JITVS_CHECK_STAT(GenericFallbacks);
+  JITVS_CHECK_STAT(Bailouts);
+  JITVS_CHECK_STAT(OsrEntries);
+  JITVS_CHECK_STAT(NativeCalls);
+  JITVS_CHECK_STAT(InterpretedCalls);
+  JITVS_CHECK_STAT(FusedOps);
+#undef JITVS_CHECK_STAT
+  for (size_t I = 0; I != NumBailoutReasons; ++I)
+    Check(bailoutReasonName(static_cast<BailoutReason>(I)),
+          A.Stats.BailoutsByReason[I], B.Stats.BailoutsByReason[I]);
+#define JITVS_CHECK_CACHE(F) Check("cache." #F, A.Cache.F, B.Cache.F)
+  JITVS_CHECK_CACHE(Hits);
+  JITVS_CHECK_CACHE(Misses);
+  JITVS_CHECK_CACHE(Insertions);
+  JITVS_CHECK_CACHE(Evictions);
+  JITVS_CHECK_CACHE(Invalidations);
+  JITVS_CHECK_CACHE(StaleGenerationDrops);
+  JITVS_CHECK_CACHE(RejectedOversize);
+#undef JITVS_CHECK_CACHE
+  if (A.Output != B.Output)
+    Diff += " output;";
+  return Diff;
+}
 
-  // Drain mode reproduces the synchronous compilation story exactly:
-  // same compiles, same specialization decisions, same despecialization.
-  EXPECT_EQ(AsyncE.stats().Compilations, SyncE.stats().Compilations);
-  EXPECT_EQ(AsyncE.stats().SpecializedCompiles,
-            SyncE.stats().SpecializedCompiles);
-  EXPECT_EQ(AsyncE.stats().GenericCompiles, SyncE.stats().GenericCompiles);
-  EXPECT_EQ(AsyncE.stats().Despecializations,
-            SyncE.stats().Despecializations);
-  EXPECT_GT(AsyncE.stats().Compilations, 0u);
-  // Every drain blocked the main thread, so stall time was recorded and
-  // is bounded by total compile time plus scheduling noise.
-  EXPECT_GT(AsyncE.stats().CompileStallSeconds, 0.0);
+/// The count-parity contract of drain mode: one background worker that
+/// the caller waits on after every enqueue must leave exactly the counts
+/// the inline compiles leave, on the 23 suite programs at the default
+/// thresholds and on 100 generated programs at the fuzzer's thresholds
+/// (which despecialize, enter OSR and bail out often).
+void expectDrainParity(TierPolicy Policy, size_t CacheBytes) {
+  EngineKnobs Suite;
+  Suite.Policy = Policy;
+  Suite.CodeCacheBytes = CacheBytes;
+  EngineKnobs Generated = Suite;
+  Generated.CallThreshold = 3;
+  Generated.LoopThreshold = 20;
+
+  struct Program {
+    std::string Name, Source;
+    EngineKnobs Inline;
+  };
+  std::vector<Program> Programs;
+  for (const Workload &W : allWorkloads())
+    Programs.push_back({W.Name, W.Source, Suite});
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    Programs.push_back({"seed " + std::to_string(Seed),
+                        fuzz::generateProgram(Seed).render(), Generated});
+  ASSERT_EQ(Programs.size(), 123u);
+
+  size_t Differing = 0;
+  for (const Program &P : Programs) {
+    EngineKnobs Drain = P.Inline;
+    Drain.CompileThreads = 1;
+    Drain.CompileDrain = true;
+    RunCounts A = runCounted(P.Source, P.Inline);
+    RunCounts B = runCounted(P.Source, Drain);
+    std::string Diff = countDiff(A, B);
+    if (!Diff.empty() && ++Differing <= 5)
+      ADD_FAILURE() << P.Name << " (inline vs drain):" << Diff;
+    if (&P == &Programs.front()) {
+      EXPECT_GT(A.Stats.Compilations, 0u) << P.Name;
+      // Every drain blocked the caller, so stall time was recorded.
+      EXPECT_GT(B.Stats.CompileStallSeconds, 0.0) << P.Name;
+    }
+  }
+  EXPECT_EQ(Differing, 0u) << "programs whose counts differ";
+}
+
+constexpr size_t ServeCacheBytes = 120 * 1024;
+
+TEST(AsyncEngine, DrainModeCountsMatchInlinePaper) {
+  expectDrainParity(TierPolicy::Paper, 0);
+}
+
+TEST(AsyncEngine, DrainModeCountsMatchInlineTiered) {
+  expectDrainParity(TierPolicy::Tiered, 0);
+}
+
+TEST(AsyncEngine, DrainModeCountsMatchInlinePaperCache) {
+  expectDrainParity(TierPolicy::Paper, ServeCacheBytes);
+}
+
+TEST(AsyncEngine, DrainModeCountsMatchInlineTieredCache) {
+  expectDrainParity(TierPolicy::Tiered, ServeCacheBytes);
 }
 
 TEST(AsyncEngine, FreeRunningCompilePublishesAtDispatchBoundary) {

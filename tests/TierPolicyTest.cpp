@@ -11,6 +11,7 @@
 
 #include "jit/Engine.h"
 #include "profiling/CallProfiler.h"
+#include "telemetry/Telemetry.h"
 #include "vm/Bytecode.h"
 #include "vm/Runtime.h"
 
@@ -132,6 +133,45 @@ TEST(TierPolicy, FullLadderDescent) {
   for (const Engine::FunctionReport &R : F.E.functionReports())
     if (R.Name == "f")
       EXPECT_EQ(R.Cause, DespecializeCause::TypeMismatch);
+}
+
+TEST(TierPolicy, ArityChangeRecordsOneTransitionPerEntry) {
+  telemetry().configure(TelCache, Telemetry::DefaultCapacity);
+  telemetry().clear();
+  TieredFixture F;
+  // f is specialized on two arguments; a call with one cannot reuse any
+  // per-parameter fact, so both signature entries demote to generic.
+  F.RT.evaluate("function f(a, b) { return a; }"
+                "for (var i = 0; i < 10; i++) f(1, 2);"
+                "print(f(1));");
+  std::vector<TelemetryEvent> Events = telemetry().events();
+  telemetry().configure(0);
+  telemetry().clear();
+  ASSERT_FALSE(F.RT.hasError());
+  EXPECT_EQ(F.RT.output(), "1\n");
+  EXPECT_EQ(F.E.stats().TierDemotionsToGeneric, 2u);
+  EXPECT_EQ(F.E.stats().GenericFallbacks, 1u);
+
+  bool Saw = false;
+  for (const Engine::FunctionReport &R : F.E.functionReports()) {
+    if (R.Name != "f")
+      continue;
+    Saw = true;
+    EXPECT_EQ(R.TierTransitions, 2u);
+    EXPECT_EQ(R.Cause, DespecializeCause::TypeMismatch);
+  }
+  EXPECT_TRUE(Saw);
+
+  if (!JITVS_TELEMETRY_ENABLED)
+    return;
+  size_t Transitions = 0;
+  for (const TelemetryEvent &E : Events)
+    if (E.Kind == TelemetryEventKind::TierTransition &&
+        std::string(E.Func) == "f") {
+      EXPECT_STREQ(E.Detail, "arity->generic");
+      ++Transitions;
+    }
+  EXPECT_EQ(Transitions, 2u);
 }
 
 TEST(TierPolicy, HitSplitSumsToCacheHits) {
