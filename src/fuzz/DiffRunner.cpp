@@ -85,11 +85,11 @@ std::vector<EngineSetup> defaultMatrix() {
     K.CompileThreads = 2;
     K.CompileDrain = true;
   });
-  // Shared code cache columns. The synchronous one runs the cache as
-  // the sole specialized-entry dispatch; the drained-background one
-  // crosses cache inserts with the install path. Both use a budget tiny
-  // enough that real programs evict constantly, so every seed exercises
-  // the eviction + reclaimer-retire interleavings.
+  // Serving-mode columns: a byte budget on the specialization table.
+  // The drained-background one crosses table inserts with the install
+  // path. Both use a budget tiny enough that real programs evict
+  // constantly, so every seed exercises the eviction + reclaimer-retire
+  // interleavings.
   Add("paper-cache4k", All,
       [](EngineKnobs &K) { K.CodeCacheBytes = 4096; });
   Add("tiered-cache4k-threads2-drain", All, [](EngineKnobs &K) {

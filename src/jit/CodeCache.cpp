@@ -1,4 +1,4 @@
-//===- jit/CodeCache.cpp - Shared SpecSig-keyed specialization cache ------===//
+//===- jit/CodeCache.cpp - The SpecSig-keyed specialization table ---------===//
 
 #include "jit/CodeCache.h"
 
@@ -47,15 +47,16 @@ std::shared_ptr<NativeCode> CodeCache::lookup(const FunctionInfo *Info,
 
 bool CodeCache::insert(const FunctionInfo *Info, uint32_t Generation,
                        SpecSig Sig, std::shared_ptr<NativeCode> Code,
-                       CodeReclaimer &Reclaimer) {
+                       CodeReclaimer &Reclaimer, SpecSig OsrSig) {
   size_t CodeSize = codeBytes(*Code);
-  if (CodeSize > Budget) {
+  if (Budget && CodeSize > Budget) {
     ++Counters.RejectedOversize;
     Reclaimer.retire(std::move(Code));
     return false;
   }
   Entry E;
   E.Sig = std::move(Sig);
+  E.OsrSig = std::move(OsrSig);
   E.Generation = Generation;
   E.Bytes = CodeSize;
   E.LastUse = ++Clock;
@@ -65,7 +66,7 @@ bool CodeCache::insert(const FunctionInfo *Info, uint32_t Generation,
   Bytes += CodeSize;
   ++Count;
   ++Counters.Insertions;
-  if (Bytes > Budget)
+  if (Budget && Bytes > Budget)
     evictToBudget(Keep, Reclaimer);
   return true;
 }
@@ -123,9 +124,29 @@ void CodeCache::invalidate(const FunctionInfo *Info, CodeReclaimer &Reclaimer) {
   Map.erase(It);
 }
 
-size_t CodeCache::entriesFor(const FunctionInfo *Info) const {
+void CodeCache::remove(const FunctionInfo *Info, const NativeCode *Code,
+                       CodeReclaimer &Reclaimer) {
   auto It = Map.find(Info);
-  return It == Map.end() ? 0 : It->second.size();
+  if (It == Map.end())
+    return;
+  std::vector<Entry> &Vec = It->second;
+  for (size_t I = 0; I != Vec.size(); ++I) {
+    if (Vec[I].Code.get() == Code) {
+      removeEntry(Vec, I, Reclaimer);
+      return;
+    }
+  }
+}
+
+const std::vector<CodeCache::Entry> &
+CodeCache::entries(const FunctionInfo *Info) const {
+  static const std::vector<Entry> None;
+  auto It = Map.find(Info);
+  return It == Map.end() ? None : It->second;
+}
+
+size_t CodeCache::entriesFor(const FunctionInfo *Info) const {
+  return entries(Info).size();
 }
 
 void CodeCache::forEachEntry(const std::function<void(Entry &)> &Fn) {

@@ -1,31 +1,37 @@
-//===- jit/CodeCache.h - Shared SpecSig-keyed specialization cache -*- C++ -*-===//
+//===- jit/CodeCache.h - The SpecSig-keyed specialization table -*- C++ -*-===//
 ///
 /// \file
-/// The shared specialization code cache: every specialized entry body the
-/// engine compiles is published here, keyed by (function, SpecSig), so a
-/// later call — from the same caller, a different call site, or a
-/// different serving session replayed against the same long-lived engine
-/// — with an equivalent signature reuses the binary instead of paying
-/// the despecialize-and-recompile tax. This is the interprocedural
-/// analogue of type-specialized entry points (Chevalier-Boisvert &
-/// Feeley, PAPERS.md), generalized to the paper's value tier.
+/// The engine's one store of specialized binaries. Every specialized body
+/// the engine compiles, entry or OSR, is an entry here, keyed by
+/// (function, entry SpecSig), so a later call with an equivalent
+/// signature — from the same caller, another call site, or another
+/// serving session replayed against the same long-lived engine — reuses
+/// it. The paper keeps one such binary per function; its conclusion
+/// proposes keeping several. Chevalier-Boisvert & Feeley's
+/// interprocedural type specialization (PAPERS.md) keeps every version
+/// of a function in one place keyed by its entry signature, as this
+/// table does for the paper's value tier. Generic bodies stay with the
+/// engine's per-function state.
 ///
-/// Memory discipline:
-///  - an explicit byte budget (EngineKnobs::CodeCacheBytes /
-///    JITVS_CODE_CACHE_BYTES) bounds resident compiled code;
+/// The engine bounds the table per function with a signature cap
+/// (EngineKnobs::CacheDepth, or Engine::CodeCacheSigLimit under a byte
+/// budget) and decides what a miss at the cap does. The table itself
+/// keeps the memory discipline:
+///  - an optional byte budget (EngineKnobs::CodeCacheBytes /
+///    JITVS_CODE_CACHE_BYTES; 0 = no budget) bounds resident code;
 ///  - going over budget evicts by cost-aware LRU: the victim maximizes
 ///    staleness * bytes, so a huge body idle for a while goes before a
 ///    small one touched at the same time;
-///  - evicted (and invalidated) bodies are NOT freed here: they are
-///    retired through the engine's CodeReclaimer, whose dispatch-boundary
-///    epochs guarantee no in-flight native frame still running the body
-///    can observe the free (the discipline of Flückiger et al.,
-///    "Correctness of Speculative Optimizations", PAPERS.md);
+///  - evicted, removed and invalidated bodies are NOT freed here: they
+///    are retired through the engine's CodeReclaimer, whose
+///    dispatch-boundary epochs guarantee no in-flight native frame still
+///    running the body can observe the free (the discipline of Flückiger
+///    et al., "Correctness of Speculative Optimizations", PAPERS.md);
 ///  - every entry is stamped with the function's policy generation at
-///    insert; a despecialization decision or bailout-limit discard bumps
-///    the generation and invalidates the function's entries, and lookup
-///    double-checks the stamp so a stale body can never be dispatched
-///    even if an invalidation was missed.
+///    insert; a bailout-limit discard bumps the generation and
+///    invalidates the function's entries, and lookup double-checks the
+///    stamp so a stale body can never be dispatched even if an
+///    invalidation was missed.
 ///
 /// Single-threaded by design: lookups, inserts and eviction all happen on
 /// the main thread at dispatch boundaries (background compiles publish
@@ -52,6 +58,7 @@ struct FunctionInfo;
 
 class CodeCache {
 public:
+  /// \p BudgetBytes 0 = no byte budget.
   explicit CodeCache(size_t BudgetBytes) : Budget(BudgetBytes) {}
 
   struct Stats {
@@ -64,10 +71,12 @@ public:
     uint64_t RejectedOversize = 0; ///< Bodies larger than the whole budget.
   };
 
-  /// One cached binary. Sig value-tier entries and the body's constant
-  /// pool are GC-rooted by the engine walking forEachEntry().
+  /// One specialized binary. The signatures' value-tier entries and the
+  /// body's constant pool are GC-rooted by the engine walking
+  /// forEachEntry().
   struct Entry {
-    SpecSig Sig;
+    SpecSig Sig;    ///< Entry signature: the dispatch key.
+    SpecSig OsrSig; ///< OSR bodies: the frame slots baked in at OSR entry.
     uint32_t Generation = 0; ///< FuncState generation at insert.
     std::shared_ptr<NativeCode> Code;
     size_t Bytes = 0;
@@ -91,20 +100,29 @@ public:
   /// denominator).
   void noteMiss() { ++Counters.Misses; }
 
-  /// Publishes a freshly compiled body. May evict (through \p Reclaimer)
-  /// to get back under budget; the new entry itself is never the victim
-  /// of its own insert. \returns false when the body alone exceeds the
-  /// whole budget — the caller still executes it once, routing it
-  /// straight to the reclaimer so its pool stays rooted until the frame
-  /// drains.
+  /// Publishes a freshly compiled body (\p OsrSig non-empty for a
+  /// specialized OSR body). May evict (through \p Reclaimer) to get back
+  /// under budget; the new entry itself is never the victim of its own
+  /// insert. \returns false when the body alone exceeds the whole budget
+  /// — the caller still executes it once, routing it straight to the
+  /// reclaimer so its pool stays rooted until the frame drains.
   bool insert(const FunctionInfo *Info, uint32_t Generation, SpecSig Sig,
-              std::shared_ptr<NativeCode> Code, CodeReclaimer &Reclaimer);
+              std::shared_ptr<NativeCode> Code, CodeReclaimer &Reclaimer,
+              SpecSig OsrSig = {});
 
-  /// Drops every entry of \p Info (despecialization decision or
-  /// bailout-limit discard bumped its generation). Bodies are retired
-  /// through \p Reclaimer, never freed inline: in-flight frames may
-  /// still be executing them.
+  /// Drops every entry of \p Info (a despecialization under the paper
+  /// policy or CacheDepth, or a bailout-limit discard). Bodies are
+  /// retired through \p Reclaimer, never freed inline: in-flight frames
+  /// may still be executing them.
   void invalidate(const FunctionInfo *Info, CodeReclaimer &Reclaimer);
+
+  /// Drops \p Info's entry for \p Code, if it has one, retiring it
+  /// through \p Reclaimer.
+  void remove(const FunctionInfo *Info, const NativeCode *Code,
+              CodeReclaimer &Reclaimer);
+
+  /// \p Info's entries, oldest first. Valid until the next mutating call.
+  const std::vector<Entry> &entries(const FunctionInfo *Info) const;
 
   size_t residentBytes() const { return Bytes; }
   size_t budgetBytes() const { return Budget; }

@@ -3,10 +3,10 @@
 /// \file
 /// The "compile this" action the engine's policy emits. A CompileTask
 /// carries everything one compile needs — the specialized argument
-/// values, tier vectors, OSR frame slots, where the binary installs and,
-/// for background builds, a whole-program type-feedback snapshot — so
-/// the same task runs either inline on the main thread or on a worker
-/// thread without touching any state the main thread mutates. The
+/// values, tier vectors, OSR frame slots and, for background builds, a
+/// whole-program type-feedback snapshot — so the same task runs either
+/// inline on the main thread or on a worker thread without touching any
+/// state the main thread mutates. The
 /// finished binary is published through a single atomic result slot: a
 /// worker release-stores a CompileOutcome, the main thread acquire-loads
 /// it at a dispatch boundary and links the code in.
@@ -37,14 +37,6 @@ class NativeCode;
 enum class CompilePriority : uint8_t {
   Recompile = 0,    ///< Replaces a body the policy just invalidated.
   FirstCompile = 1, ///< A function's (or loop's) first binary.
-};
-
-/// Where an installed binary goes. The policy picks the target when it
-/// builds the task; the install path is the only code that links it.
-enum class CompileTarget : uint8_t {
-  Primary,   ///< FuncState::Code (entry or OSR body).
-  ExtraSlot, ///< One more FuncState::ExtraSpecializations signature.
-  CodeCache, ///< A shared SpecSig code-cache entry (jit/CodeCache.h).
 };
 
 /// What a compile hands back: the binary and what it cost. Owned by the
@@ -109,7 +101,6 @@ struct CompileTask {
   /// tiers.
   std::vector<Value> OsrSlots; ///< GC-rooted while the task is live.
   std::vector<ParamTier> OsrTiers;
-  CompileTarget Target = CompileTarget::Primary;
 
   /// Whole-program feedback snapshot captured at enqueue; the builder
   /// reads this instead of the live FunctionInfo::Feedback maps. Null for

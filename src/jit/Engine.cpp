@@ -72,10 +72,11 @@ uint64_t monotonicNowNs() {
 
 } // namespace
 
-/// Roots everything the engine keeps alive across GC: cached argument
-/// sets, cached OSR slot values, and the constant pools of every binary
-/// that is linked, cached, retired-but-unreclaimed or being compiled. A
-/// compiling MIR graph is rooted separately via GraphRoots.
+/// Roots everything the engine keeps alive across GC: the signatures of
+/// every table entry (baked argument and OSR slot values), and the
+/// constant pools of every binary that is linked, retired-but-unreclaimed
+/// or being compiled. A compiling MIR graph is rooted separately via
+/// GraphRoots.
 class Engine::EngineRoots final : public RootSource {
 public:
   explicit EngineRoots(Engine &E) : E(E) { E.RT.heap().addRootSource(this); }
@@ -93,25 +94,16 @@ public:
       for (Value &V : Code.ConstPool)
         Visitor.visit(V);
     };
-    for (auto &[Info, FS] : E.States) {
-      TraceSig(FS.Sig);
-      TraceSig(FS.OsrSig);
+    for (auto &[Info, FS] : E.States)
       if (FS.Code)
         TracePool(*FS.Code);
-      for (auto &[Sig, Code] : FS.ExtraSpecializations) {
-        TraceSig(Sig);
-        if (Code)
-          TracePool(*Code);
-      }
-    }
-    // Shared-cache entries: each signature's baked-in values and each
-    // body's constant pool stay live for as long as the entry can be
-    // dispatched.
-    if (E.Cache)
-      E.Cache->forEachEntry([&](CodeCache::Entry &En) {
-        TraceSig(En.Sig);
-        TracePool(*En.Code);
-      });
+    // Table entries: each signature's baked-in values and each body's
+    // constant pool stay live for as long as the entry can be dispatched.
+    E.Cache.forEachEntry([&](CodeCache::Entry &En) {
+      TraceSig(En.Sig);
+      TraceSig(En.OsrSig);
+      TracePool(*En.Code);
+    });
     // Retired-but-unreclaimed binaries: in-flight frames may still
     // execute them, so their pools must stay rooted until freed.
     E.Reclaimer.forEachRetained(TracePool);
@@ -197,12 +189,10 @@ Engine::Engine(Runtime &RT, const OptConfig &Config,
       CacheDepth(std::max(1u, Knobs.CacheDepth)), Policy(Knobs.Policy),
       ValueStabilityMax(Knobs.ValueStabilityMax), FusionEnabled(Knobs.Fusion),
       CompileThreadCount(Knobs.CompileThreads),
-      CompileDrainMode(Knobs.CompileDrain) {
+      CompileDrainMode(Knobs.CompileDrain), Cache(Knobs.CodeCacheBytes) {
   Roots = std::make_unique<EngineRoots>(*this);
   RT.setHooks(this);
   Exec.setDispatchMode(Knobs.Dispatch);
-  if (Knobs.CodeCacheBytes)
-    Cache = std::make_unique<CodeCache>(Knobs.CodeCacheBytes);
   initCompileQueue();
 }
 
@@ -249,9 +239,6 @@ Engine::~Engine() {
 Engine::FuncState &Engine::state(FunctionInfo *Info) {
   return States[Info];
 }
-
-// Signature helpers (makeSpecSig / specSigMatches / specSigTier) moved to
-// jit/SpecSig.{h,cpp}, shared with the SpecSig-keyed code cache.
 
 std::vector<ParamTier> Engine::chooseTiers(FunctionInfo *Info,
                                            size_t NumArgs) {
@@ -464,15 +451,46 @@ static bool allGenericTiers(const std::vector<ParamTier> &Tiers) {
   return true;
 }
 
+bool Engine::despecialize(FuncState &FS, FunctionInfo *Info,
+                          DespecializeCause PaperCause, const SpecSig &Sig,
+                          const Value *Vals, size_t N,
+                          std::vector<ParamTier> &NewTiers) {
+  if (Policy == TierPolicy::Paper) {
+    FS.Cause = PaperCause;
+  } else {
+    bool SawTypeMismatch = false;
+    NewTiers = demoteTiers(Info, Sig, Vals, N, SawTypeMismatch);
+    FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
+                               : DespecializeCause::ValueMismatch;
+  }
+  ++Stats.Despecializations;
+  FS.EverDespecialized = true;
+  recordCacheEvent(TelemetryEventKind::Despecialize, Info,
+                   despecializeCauseName(FS.Cause));
+  bool Kept = keepsEntriesOnMiss();
+  if (!Kept)
+    Cache.invalidate(Info, Reclaimer);
+  // The paper's policy (Section 4) never specializes again, unless the
+  // entries were kept and still answer their own signatures; the tiered
+  // ladder goes fully generic only once every tier is exhausted.
+  if (Policy == TierPolicy::Paper) {
+    FS.NeverSpecialize |= !Kept;
+    return false;
+  }
+  if (!allGenericTiers(NewTiers))
+    return true;
+  ++Stats.GenericFallbacks;
+  FS.NeverSpecialize = true;
+  return false;
+}
+
 /// An entry compile of \p Info: generic when \p Tiers is null, otherwise
 /// specialized on \p Args under \p Tiers (moved from).
 static std::unique_ptr<CompileTask>
 entryTask(FunctionInfo *Info, const Value *Args, size_t NumArgs,
-          std::vector<ParamTier> *Tiers,
-          CompileTarget Target = CompileTarget::Primary) {
+          std::vector<ParamTier> *Tiers) {
   auto Task = std::make_unique<CompileTask>();
   Task->Info = Info;
-  Task->Target = Target;
   if (Tiers) {
     Task->Specialized = true;
     Task->SpecArgs.assign(Args, Args + NumArgs);
@@ -632,36 +650,22 @@ std::shared_ptr<NativeCode> Engine::installCompleted(CompileTask &Task) {
       std::min(FS.MinCodeSizePostFusion, Code.sizeInInstructionsPostFusion());
   FS.FusedOps += Code.FusedPairs;
 
-  SpecSig Sig;
   if (Task.Specialized) {
     FS.EverSpecialized = true;
-    Sig = makeSpecSig(&Task.Tiers, Task.SpecArgs.data(), Task.SpecArgs.size());
-  }
-  switch (Task.Target) {
-  case CompileTarget::CodeCache:
-    Cache->insert(Task.Info, FS.Generation, std::move(Sig), Out->Code,
-                  Reclaimer);
-    break;
-  case CompileTarget::ExtraSlot:
-    FS.ExtraSpecializations.emplace_back(std::move(Sig), Out->Code);
-    break;
-  case CompileTarget::Primary:
-    // Unlink (retire) whatever is still linked and link the new body.
-    // In-flight frames of the old one drain through their bailout/resume
-    // points; the reclaimer frees it once they do. A generic body leaves
-    // the signature state to the policy decision that asked for it.
+    SpecSig OsrSig;
+    if (Task.IsOsr)
+      OsrSig = makeSpecSig(&Task.OsrTiers, Task.OsrSlots.data(),
+                           Task.OsrSlots.size());
+    Cache.insert(Task.Info, FS.Generation,
+                 makeSpecSig(&Task.Tiers, Task.SpecArgs.data(),
+                             Task.SpecArgs.size()),
+                 Out->Code, Reclaimer, std::move(OsrSig));
+  } else {
+    // A generic body replaces the previous one. In-flight frames of the
+    // old one drain through their bailout/resume points; the reclaimer
+    // frees it once they do.
     retireCode(std::move(FS.Code));
     FS.Code = Out->Code;
-    if (Task.Specialized) {
-      FS.Specialized = true;
-      FS.Sig = std::move(Sig);
-      if (Task.IsOsr)
-        FS.OsrSig = makeSpecSig(&Task.OsrTiers, Task.OsrSlots.data(),
-                                Task.OsrSlots.size());
-      else
-        FS.OsrSig.clear();
-    }
-    break;
   }
   return Out->Code;
 }
@@ -698,15 +702,13 @@ std::shared_ptr<NativeCode> Engine::submit(FuncState &FS,
   return installFinished(/*Wait=*/true, Queued.get());
 }
 
-Value Engine::execute(FuncState &FS, FunctionInfo *Info, const Value &ThisV,
+Value Engine::execute(FuncState &FS, FunctionInfo *Info,
+                      std::shared_ptr<NativeCode> Code, const Value &ThisV,
                       const Value *Args, size_t NumArgs, bool AtOsr,
                       const std::vector<Value> *OsrSlots, Environment *Env,
-                      Environment *ClosureEnv,
-                      std::shared_ptr<NativeCode> CodeOverride) {
-  // Keep the binary alive: nested calls may despecialize this function
-  // and discard FS.Code while we are still executing it.
-  std::shared_ptr<NativeCode> Code =
-      CodeOverride ? std::move(CodeOverride) : FS.Code;
+                      Environment *ClosureEnv) {
+  // Code is held by value: nested calls may unlink this binary while we
+  // are still executing it.
   ++FS.NativeRuns;
   ExecResult R = Exec.run(*Code, ThisV, Args, NumArgs, AtOsr,
                           OsrSlots ? OsrSlots->data() : nullptr,
@@ -787,32 +789,27 @@ Value Engine::execute(FuncState &FS, FunctionInfo *Info, const Value &ThisV,
     }
   }
 
-  // Repeated bailouts: the speculation was wrong. Discard the binary
+  // Repeated bailouts: the speculation was wrong. Unlink the binary
   // BEFORE resuming — the resumed interpreter may immediately re-trigger
   // OSR, and re-entering the same failing code would nest bail/resume
   // cycles on the C++ stack for the rest of the loop. Discarding first
   // bounds the nesting: the next compile uses the refreshed feedback.
-  if (FS.Bailouts >= BailoutLimit) {
-    if (FS.Code == Code) {
-      recordCacheEvent(TelemetryEventKind::Discard, Info, "bailout-limit");
+  // A body no longer linked (a nested call replaced it) is left alone.
+  const auto &Entries = Cache.entries(Info);
+  if (FS.Bailouts >= BailoutLimit &&
+      (FS.Code == Code ||
+       std::any_of(Entries.begin(), Entries.end(),
+                   [&](const auto &En) { return En.Code == Code; }))) {
+    recordCacheEvent(TelemetryEventKind::Discard, Info, "bailout-limit");
+    if (FS.Code == Code)
       retireCode(std::move(FS.Code));
-      FS.Bailouts = 0;
-      FS.Specialized = false;
-      // Invalidate any in-flight background compile: it was built from
-      // the pre-bailout feedback and would reinstate the failing guards.
-      ++FS.Generation;
-      // Shared-cache entries were built from the same stale feedback;
-      // drop them too (the generation stamp backstops any we miss).
-      if (Cache)
-        Cache->invalidate(Info, Reclaimer);
-    } else if (Cache && Cache->entriesFor(Info)) {
-      // The bailing body is a shared-cache entry (dispatched via
-      // CodeOverride, so FS.Code never matched): same discard policy.
-      recordCacheEvent(TelemetryEventKind::Discard, Info, "bailout-limit");
-      Cache->invalidate(Info, Reclaimer);
-      FS.Bailouts = 0;
-      ++FS.Generation;
-    }
+    // The function's other entries were built from the same stale
+    // feedback. The generation bump invalidates any in-flight compile,
+    // which would reinstate the failing guards, and backstops the
+    // table's stamp check.
+    Cache.invalidate(Info, Reclaimer);
+    FS.Bailouts = 0;
+    ++FS.Generation;
   }
 
   BailoutPhase.stop();
@@ -830,35 +827,24 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
   FuncState &FS = state(Info);
 
   auto Run = [&](std::shared_ptr<NativeCode> Code) {
-    Result = execute(FS, Info, ThisV, Args, NumArgs, /*AtOsr=*/false,
-                     nullptr, nullptr, Callee->environment(),
-                     std::move(Code));
+    Result = execute(FS, Info, std::move(Code), ThisV, Args, NumArgs,
+                     /*AtOsr=*/false, nullptr, nullptr,
+                     Callee->environment());
     return true;
-  };
-  auto Hit = [&](const SpecSig &Sig, std::shared_ptr<NativeCode> Code) {
-    recordCacheHit(FS, Sig, Info);
-    return Run(std::move(Code));
-  };
-  // Shared-cache dispatch: a body specialized for these arguments by an
-  // earlier call (possibly another session) answers the call.
-  auto RunCached = [&] {
-    const SpecSig *HitSig = nullptr;
-    std::shared_ptr<NativeCode> Code = Cache->lookup(
-        Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig);
-    return Code && Hit(*HitSig, std::move(Code));
   };
   auto Interpret = [&] {
     ++Stats.InterpretedCalls;
     return false;
   };
-  // Runs the compile the policy decided on, then the installed binary.
-  // The callee is rooted across it: an inline compile's folding or the
-  // enqueue-time tenuring can move it.
-  auto Compile = [&](std::unique_ptr<CompileTask> Task) {
+  // Runs the compile the policy decided on (generic when \p Tiers is
+  // null), then the installed binary. The callee is rooted across it: an
+  // inline compile's folding or the enqueue-time tenuring can move it.
+  auto Compile = [&](std::vector<ParamTier> *Tiers) {
     TempRoots CalleeRoot(RT.heap());
     Value CalleeV = Value::function(Callee);
     CalleeRoot.add(CalleeV);
-    std::shared_ptr<NativeCode> Code = submit(FS, std::move(Task));
+    std::shared_ptr<NativeCode> Code =
+        submit(FS, entryTask(Info, Args, NumArgs, Tiers));
     Callee = CalleeV.asFunction();
     if (!Code)
       return Interpret(); // A free-running compile is in flight.
@@ -866,118 +852,52 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
     return Run(std::move(Code));
   };
 
+  // The table answers the signatures it holds; the generic body, if
+  // there is one, answers every other call.
+  const SpecSig *HitSig = nullptr;
+  if (std::shared_ptr<NativeCode> Code = Cache.lookup(
+          Info, FS.Generation, Args, NumArgs, Reclaimer, &HitSig)) {
+    recordCacheHit(FS, *HitSig, Info);
+    return Run(std::move(Code));
+  }
   if (FS.Code) {
-    if (!FS.Specialized) {
-      // Generic primary (e.g. after an OSR-revalidation rebuild): prefer
-      // a matching specialized body from the shared cache.
-      if (Cache && Config.ParameterSpecialization && !FS.NeverSpecialize &&
-          RunCached())
-        return true;
-      ++Stats.NativeCalls;
-      return Run(nullptr);
-    }
-    if (specSigMatches(FS.Sig, Args, NumArgs))
-      return Hit(FS.Sig, nullptr);
-    // Cache depth > 1 (the paper's future-work heuristic): other cached
-    // signatures, then free slots.
-    for (auto &[Sig, CachedCode] : FS.ExtraSpecializations)
-      if (specSigMatches(Sig, Args, NumArgs))
-        return Hit(Sig, CachedCode);
-    if (Cache && RunCached())
-      return true;
-    // A miss. Decisions wait for an in-flight compile to install.
-    if (FS.CompilePending)
-      return Interpret();
-    // A shared-cache miss with signature headroom grows the cache; only
-    // past the per-function cap does the policy fall back to generic.
-    if (Cache) {
-      Cache->noteMiss();
-      if (Config.ParameterSpecialization && !FS.NeverSpecialize &&
-          Cache->entriesFor(Info) < CodeCacheSigLimit) {
-        std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-        if (!allGenericTiers(Tiers))
-          return Compile(entryTask(Info, Args, NumArgs, &Tiers,
-                                   CompileTarget::CodeCache));
-      }
-      // Signature cap reached (or nothing stable to assume): fall
-      // through to the one-binary miss policy below, and drop the
-      // function's entries — it is going generic.
-      Cache->invalidate(Info, Reclaimer);
-      ++FS.Generation;
-    }
-    if (FS.ExtraSpecializations.size() + 1 < CacheDepth) {
-      std::vector<ParamTier> Tiers = chooseTiers(Info, NumArgs);
-      return Compile(entryTask(Info, Args, NumArgs, &Tiers,
-                               CompileTarget::ExtraSlot));
-    }
-    // Different arguments. The paper's policy (Section 4) discards the
-    // binary, recompiles generic and never tries again; the tiered
-    // ladder demotes only the mismatching parameters one tier and goes
-    // fully generic only once every tier is exhausted.
-    std::vector<ParamTier> NewTiers;
-    if (Policy == TierPolicy::Paper) {
-      FS.Cause = DespecializeCause::DifferentArgs;
-    } else {
-      bool SawTypeMismatch = false;
-      NewTiers = demoteTiers(Info, FS.Sig, Args, NumArgs, SawTypeMismatch);
-      FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                 : DespecializeCause::ValueMismatch;
-    }
-    ++Stats.Despecializations;
-    FS.EverDespecialized = true;
-    recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                     despecializeCauseName(FS.Cause));
-    retireCode(std::move(FS.Code));
-    FS.Sig.clear();
-    for (auto &[Sig, ExtraCode] : FS.ExtraSpecializations)
-      retireCode(std::move(ExtraCode));
-    FS.ExtraSpecializations.clear();
-    if (Policy == TierPolicy::Paper || allGenericTiers(NewTiers)) {
-      if (Policy == TierPolicy::Tiered)
-        ++Stats.GenericFallbacks;
-      FS.Specialized = false;
-      FS.NeverSpecialize = true;
-      return Compile(entryTask(Info, Args, NumArgs, nullptr));
-    }
-    return Compile(entryTask(Info, Args, NumArgs, &NewTiers));
+    ++Stats.NativeCalls;
+    return Run(FS.Code);
   }
 
-  if (Info->CallCount < CallThreshold)
+  // A miss. A function without a binary waits for its call threshold,
+  // and decisions wait for an in-flight compile to install.
+  size_t Held = Cache.entriesFor(Info);
+  if (!Held && Info->CallCount < CallThreshold)
     return Interpret();
-
-  bool Specialize = Config.ParameterSpecialization && !FS.NeverSpecialize;
-  // Cache mode routes hot specialized compiles into the shared cache and
-  // leaves FuncState::Code for generic/OSR bodies: the cache *is* the
-  // entry dispatch, so a body compiled for one session's arguments
-  // answers every later session with an equivalent signature.
-  if (Cache && Specialize && RunCached())
-    return true;
   if (FS.CompilePending)
     return Interpret();
-  std::vector<ParamTier> Tiers;
+  bool Specialize = Config.ParameterSpecialization && !FS.NeverSpecialize;
   if (Specialize)
-    Tiers = chooseTiers(Info, NumArgs);
-  if (Cache && Specialize) {
-    Cache->noteMiss();
-    if (Cache->entriesFor(Info) < CodeCacheSigLimit) {
-      if (!allGenericTiers(Tiers))
-        return Compile(entryTask(Info, Args, NumArgs, &Tiers,
-                                 CompileTarget::CodeCache));
-    } else {
-      // Per-function signature cap: stop growing the cache for this
-      // function and install a generic primary as the fallback body.
-      // The cached signatures stay live — the generic-primary dispatch
-      // keeps consulting them — so the hot-argument traffic still runs
-      // specialized while the polymorphic tail runs generic, instead of
-      // the one-binary policy's all-or-nothing despecialization.
-      recordCacheEvent(TelemetryEventKind::Despecialize, Info, "sig-cap");
-    }
-    Specialize = false; // Nothing stable (or capped): generic primary.
+    Cache.noteMiss();
+  if (Held < sigCap()) {
+    // Room for one more signature. A profile that shows nothing stable
+    // skips the ladder and compiles generic.
+    std::vector<ParamTier> Tiers;
+    if (Specialize)
+      Tiers = chooseTiers(Info, NumArgs);
+    return Compile(Specialize && !allGenericTiers(Tiers) ? &Tiers : nullptr);
   }
-  // A profile that shows nothing stable skips the ladder entirely.
-  if (!Specialize || allGenericTiers(Tiers))
-    return Compile(entryTask(Info, Args, NumArgs, nullptr));
-  return Compile(entryTask(Info, Args, NumArgs, &Tiers));
+  if (keepsEntriesOnMiss()) {
+    // Serving at the cap: the held signatures keep answering the hot
+    // arguments and a generic body takes the polymorphic tail, instead
+    // of the one-binary policy's all-or-nothing despecialization.
+    recordCacheEvent(TelemetryEventKind::Despecialize, Info, "sig-cap");
+    return Compile(nullptr);
+  }
+  // Different arguments: the paper's policy discards the binary and
+  // recompiles generic; the tiered ladder demotes only the mismatching
+  // parameters one tier.
+  std::vector<ParamTier> NewTiers;
+  bool Respecialize =
+      despecialize(FS, Info, DespecializeCause::DifferentArgs,
+                   Cache.entries(Info).front().Sig, Args, NumArgs, NewTiers);
+  return Compile(Respecialize ? &NewTiers : nullptr);
 }
 
 bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
@@ -991,46 +911,33 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
 
   bool Specialize =
       Config.ParameterSpecialization && !FS.NeverSpecialize;
-
+  // The function has at most one OSR body: the generic body or one
+  // table entry. Every OSR compile replaces it.
+  const std::vector<CodeCache::Entry> &Entries = Cache.entries(Info);
+  auto OsrEntry =
+      std::find_if(Entries.begin(), Entries.end(),
+                   [](const auto &En) { return En.Code->OsrPc != ~0u; });
+  std::shared_ptr<NativeCode> Code;
   if (FS.Code && FS.Code->OsrPc == PC) {
-    // Existing binary has an OSR entry here; specialized code baked the
-    // OSR frame values in, so revalidate them.
-    if (FS.Specialized &&
-        !specSigMatches(FS.OsrSig, Frame.Slots.data(), Frame.Slots.size())) {
+    Code = FS.Code;
+  } else if (OsrEntry != Entries.end() && OsrEntry->Code->OsrPc == PC) {
+    // A specialized OSR body baked the frame values in; revalidate them.
+    if (specSigMatches(OsrEntry->OsrSig, Frame.Slots.data(),
+                       Frame.Slots.size())) {
+      Code = OsrEntry->Code;
+    } else {
       if (FS.CompilePending)
         return false;
       // Tiered: demote the stale frame slots one tier and rebuild the
       // OSR binary; generic only when nothing is left to assume.
+      const NativeCode *Stale = OsrEntry->Code.get();
       std::vector<ParamTier> SlotTiers;
-      if (Policy == TierPolicy::Paper) {
-        FS.Cause = DespecializeCause::OsrRevalidation;
-      } else {
-        bool SawTypeMismatch = false;
-        SlotTiers = demoteTiers(Info, FS.OsrSig, Frame.Slots.data(),
-                                Frame.Slots.size(), SawTypeMismatch);
-        FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                   : DespecializeCause::ValueMismatch;
-      }
-      ++Stats.Despecializations;
-      FS.EverDespecialized = true;
-      recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                       despecializeCauseName(FS.Cause));
-      retireCode(std::move(FS.Code));
-      FS.Sig.clear();
-      FS.OsrSig.clear();
-      if (Policy == TierPolicy::Paper) {
-        FS.Specialized = false;
-        // Stale *frame slots* say nothing about entry signatures: in
-        // cache mode the shared entries stay valid and the function may
-        // keep specializing at entry.
-        if (!Cache)
-          FS.NeverSpecialize = true;
-        submit(FS, osrTask(Frame, PC, nullptr));
-      } else if (allGenericTiers(SlotTiers)) {
-        ++Stats.GenericFallbacks;
-        FS.Specialized = false;
-        FS.NeverSpecialize = true;
-        submit(FS, osrTask(Frame, PC, nullptr));
+      bool Respecialize = despecialize(
+          FS, Info, DespecializeCause::OsrRevalidation, OsrEntry->OsrSig,
+          Frame.Slots.data(), Frame.Slots.size(), SlotTiers);
+      Cache.remove(Info, Stale, Reclaimer);
+      if (!Respecialize) {
+        Code = submit(FS, osrTask(Frame, PC, nullptr));
       } else {
         // Entry parameters mirror the demoted tiers of their frame
         // slots (slot I is parameter I at entry).
@@ -1038,7 +945,8 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
             SlotTiers.begin(),
             SlotTiers.begin() +
                 std::min<size_t>(Info->NumParams, SlotTiers.size()));
-        submit(FS, osrTask(Frame, PC, &ParamTiers, std::move(SlotTiers)));
+        Code = submit(FS,
+                      osrTask(Frame, PC, &ParamTiers, std::move(SlotTiers)));
       }
     }
   } else {
@@ -1046,55 +954,38 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
       return false;
     // Avoid compile storms when several hot loops alternate in one
     // function: after a few rebuilds, leave this loop to the
-    // interpreter. Checked BEFORE any policy mutation: the despec
-    // bookkeeping below clears FS.Specialized/FS.Sig, and bailing out
-    // after that would leave a stale value-baked binary installed as if
-    // it were generic — the entry dispatch would then run it without
-    // signature revalidation (a real miscompile the differential fuzzer
-    // caught once cache mode made nine-plus compiles per function
-    // commonplace).
-    if (FS.Code && FS.Compiles > 8)
+    // interpreter. Checked BEFORE any policy mutation: the
+    // despecialization below unlinks binaries and changes the
+    // function's state, and leaving after that would strand it half
+    // way.
+    if ((FS.Code || !Entries.empty()) && FS.Compiles > 8)
       return false;
-    // Compile (or recompile) with an OSR entry at this loop head.
+    // Compile (or recompile) with an OSR entry at this loop head. The
+    // new body replaces the generic body, the table's OSR body and the
+    // entry for the frame's arguments.
+    auto Match = std::find_if(
+        Entries.begin(), Entries.end(), [&](const auto &En) {
+          return specSigMatches(En.Sig, Frame.OrigArgs.data(),
+                                Frame.OrigArgs.size());
+        });
+    const NativeCode *Replaced[] = {
+        OsrEntry != Entries.end() ? OsrEntry->Code.get() : nullptr,
+        Match != Entries.end() ? Match->Code.get() : nullptr};
+    // Missed: the running frame's arguments differ from every held
+    // signature.
+    bool Missed = !Entries.empty() && Match == Entries.end();
     std::vector<ParamTier> Tiers;
-    bool HaveTiers = false;
-    if (FS.Specialized && FS.Code &&
-        !specSigMatches(FS.Sig, Frame.OrigArgs.data(), Frame.OrigArgs.size())) {
-      // The running frame's arguments differ from the cached
-      // specialization.
-      if (Policy == TierPolicy::Paper) {
-        FS.Cause = DespecializeCause::DifferentArgs;
-        // Cache mode: this one OSR body goes generic, but the shared
-        // entry signatures remain valid — keep the function cacheable.
-        if (!Cache)
-          FS.NeverSpecialize = true;
-        Specialize = false;
-      } else {
-        bool SawTypeMismatch = false;
-        Tiers = demoteTiers(Info, FS.Sig, Frame.OrigArgs.data(),
-                            Frame.OrigArgs.size(), SawTypeMismatch);
-        HaveTiers = true;
-        FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                                   : DespecializeCause::ValueMismatch;
-        if (allGenericTiers(Tiers)) {
-          ++Stats.GenericFallbacks;
-          FS.NeverSpecialize = true;
-          Specialize = false;
-        }
-      }
-      ++Stats.Despecializations;
-      FS.EverDespecialized = true;
-      recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                       despecializeCauseName(FS.Cause));
-      FS.Specialized = false;
-      FS.Sig.clear();
-      FS.OsrSig.clear();
-    }
+    if (Missed && !despecialize(FS, Info, DespecializeCause::DifferentArgs,
+                                Entries.front().Sig, Frame.OrigArgs.data(),
+                                Frame.OrigArgs.size(), Tiers))
+      Specialize = false;
     retireCode(std::move(FS.Code));
-    if (Specialize && !HaveTiers)
+    for (const NativeCode *Old : Replaced)
+      Cache.remove(Info, Old, Reclaimer);
+    if (Specialize && !Missed)
       Tiers = chooseTiers(Info, Frame.OrigArgs.size());
     if (!Specialize || allGenericTiers(Tiers)) {
-      submit(FS, osrTask(Frame, PC, nullptr));
+      Code = submit(FS, osrTask(Frame, PC, nullptr));
     } else {
       // Frame slots: parameters first (sharing the entry tiers), then
       // locals, which stay at the value tier until an OSR revalidation
@@ -1102,13 +993,13 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
       std::vector<ParamTier> SlotTiers(Frame.Slots.size(), ParamTier::Value);
       for (size_t I = 0; I != Tiers.size() && I != SlotTiers.size(); ++I)
         SlotTiers[I] = Tiers[I];
-      submit(FS, osrTask(Frame, PC, &Tiers, std::move(SlotTiers)));
+      Code = submit(FS, osrTask(Frame, PC, &Tiers, std::move(SlotTiers)));
     }
   }
 
   // No usable OSR entry (e.g. unreachable loop head), or a free-running
   // compile still in flight.
-  if (!FS.Code || FS.Code->OsrOffset == ~0u)
+  if (!Code || Code->OsrOffset == ~0u)
     return false;
 
   ++Stats.OsrEntries;
@@ -1120,9 +1011,9 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
     telemetry().record(E);
   }
   std::vector<Value> OsrSlots = Frame.Slots;
-  Result = execute(FS, Info, Frame.ThisV, Frame.OrigArgs.data(),
-                   Frame.OrigArgs.size(), /*AtOsr=*/true, &OsrSlots,
-                   Frame.Env, Frame.ClosureEnv);
+  Result = execute(FS, Info, std::move(Code), Frame.ThisV,
+                   Frame.OrigArgs.data(), Frame.OrigArgs.size(),
+                   /*AtOsr=*/true, &OsrSlots, Frame.Env, Frame.ClosureEnv);
   return true;
 }
 
@@ -1192,23 +1083,20 @@ void Engine::publishMetrics() {
     M.setGauge("engine.compile_queue.depth",
                static_cast<double>(Queue->depth()));
   }
-  if (Cache) {
-    const CodeCache::Stats &CS = Cache->stats();
-    M.addCounter("engine.code_cache.hits", CS.Hits);
-    M.addCounter("engine.code_cache.misses", CS.Misses);
-    M.addCounter("engine.code_cache.insertions", CS.Insertions);
-    M.addCounter("engine.code_cache.evictions", CS.Evictions);
-    M.addCounter("engine.code_cache.invalidations", CS.Invalidations);
-    M.addCounter("engine.code_cache.stale_generation_drops",
-                 CS.StaleGenerationDrops);
-    M.addCounter("engine.code_cache.rejected_oversize", CS.RejectedOversize);
-    M.setGauge("engine.code_cache.resident_bytes",
-               static_cast<double>(Cache->residentBytes()));
-    M.setGauge("engine.code_cache.budget_bytes",
-               static_cast<double>(Cache->budgetBytes()));
-    M.setGauge("engine.code_cache.entries",
-               static_cast<double>(Cache->size()));
-  }
+  const CodeCache::Stats &CS = Cache.stats();
+  M.addCounter("engine.code_cache.hits", CS.Hits);
+  M.addCounter("engine.code_cache.misses", CS.Misses);
+  M.addCounter("engine.code_cache.insertions", CS.Insertions);
+  M.addCounter("engine.code_cache.evictions", CS.Evictions);
+  M.addCounter("engine.code_cache.invalidations", CS.Invalidations);
+  M.addCounter("engine.code_cache.stale_generation_drops",
+               CS.StaleGenerationDrops);
+  M.addCounter("engine.code_cache.rejected_oversize", CS.RejectedOversize);
+  M.setGauge("engine.code_cache.resident_bytes",
+             static_cast<double>(Cache.residentBytes()));
+  M.setGauge("engine.code_cache.budget_bytes",
+             static_cast<double>(Cache.budgetBytes()));
+  M.setGauge("engine.code_cache.entries", static_cast<double>(Cache.size()));
 
   for (const FunctionReport &R : functionReports()) {
     Metrics::FunctionMetrics FM;
@@ -1229,8 +1117,6 @@ NativeCode *Engine::compileNow(FunctionInfo *Info,
                                const std::vector<ParamTier> *Tiers) {
   FuncState &FS = state(Info);
   std::vector<ParamTier> TaskTiers = Tiers ? *Tiers : std::vector<ParamTier>();
-  if (!Args)
-    FS.Specialized = false;
   return submit(FS, entryTask(Info, Args ? Args->data() : nullptr,
                               Args ? Args->size() : 0,
                               Args ? &TaskTiers : nullptr))

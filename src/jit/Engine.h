@@ -6,11 +6,12 @@
 ///
 ///  - hot functions (by call count or loop back-edge count) are compiled;
 ///  - under parameter specialization, the actual arguments are baked into
-///    the binary and cached; a later call with the *same* arguments
-///    reuses the binary;
+///    the binary, which is kept in a SpecSig-keyed table (jit/CodeCache.h);
+///    a later call with the *same* arguments reuses the binary;
 ///  - a call with *different* arguments discards the binary, recompiles a
 ///    generic version, and marks the function so it is never specialized
-///    again;
+///    again (the table's signature cap and miss rule generalize this to
+///    several binaries per function);
 ///  - guard failures (overflow, type, bounds) bail out: the interpreter
 ///    frame is reconstructed from the snapshot and execution resumes in
 ///    the interpreter; repeated bailouts discard the binary so the next
@@ -21,6 +22,7 @@
 #ifndef JITVS_JIT_ENGINE_H
 #define JITVS_JIT_ENGINE_H
 
+#include "jit/CodeCache.h"
 #include "jit/CompileQueue.h"
 #include "jit/SpecSig.h"
 #include "mir/Tier.h"
@@ -38,7 +40,6 @@
 namespace jitvs {
 
 class CallProfiler;
-class CodeCache;
 
 /// How the engine specializes and reacts to specialization misses.
 enum class TierPolicy : uint8_t {
@@ -107,9 +108,6 @@ enum class DespecializeCause : uint8_t {
 /// \returns a stable lower-case name ("different-args", ...).
 const char *despecializeCauseName(DespecializeCause C);
 
-// ParamSig / SpecSig — the dispatch key of one specialized binary — live
-// in jit/SpecSig.h, shared with the SpecSig-keyed code cache.
-
 /// Fully programmatic engine configuration. The default Engine
 /// constructor seeds its knobs from the JITVS_* environment (convenient
 /// for ad-hoc runs), which makes engines constructed inside one process
@@ -140,11 +138,13 @@ struct EngineKnobs {
   /// CodeCache::Stats count equals the inline mode's (the parity test
   /// in tests/CompileQueueTest.cpp). Env: JITVS_COMPILE_DRAIN=1.
   bool CompileDrain = false;
-  /// Byte budget of the shared SpecSig-keyed code cache (jit/CodeCache.h).
-  /// 0 (the default) disables the cache entirely — dispatch is the
-  /// paper's one-binary-per-function policy. Non-zero enables
-  /// cross-session reuse of specialized bodies under cost-aware LRU
-  /// eviction. Env: JITVS_CODE_CACHE_BYTES.
+  /// Byte budget of the specialization table (jit/CodeCache.h). 0 (the
+  /// default) sets no budget: each function holds up to CacheDepth
+  /// signatures, and a miss beyond them despecializes as the paper's
+  /// policy does. Non-zero is the serving mode: cost-aware LRU eviction
+  /// keeps resident code under the budget, each function holds up to
+  /// Engine::CodeCacheSigLimit signatures, and a miss beyond them keeps
+  /// those entries beside a generic fallback. Env: JITVS_CODE_CACHE_BYTES.
   size_t CodeCacheBytes = 0;
 };
 
@@ -180,12 +180,13 @@ public:
   void setBailoutLimit(uint32_t N) { BailoutLimit = N; }
 
   /// Future-work knob from the paper's conclusion: how many specialized
-  /// binaries (argument sets) to cache per function. The paper uses 1
-  /// ("we cache only one binary per function. Thus, we can specialize
-  /// only two different parameter sets" — the specialized one plus the
-  /// generic fallback); with depth N, a call whose arguments miss all N
-  /// cached sets either fills a free slot or triggers the usual
-  /// despecialize-to-generic policy.
+  /// binaries (argument sets) to cache per function — the table's
+  /// signature cap when there is no byte budget. The paper uses 1 ("we
+  /// cache only one binary per function. Thus, we can specialize only two
+  /// different parameter sets" — the specialized one plus the generic
+  /// fallback); with depth N, a call whose arguments miss every held set
+  /// compiles one more while fewer than N are held, and otherwise
+  /// retires them all and despecializes as usual.
   void setCacheDepth(uint32_t N) { CacheDepth = std::max(1u, N); }
 
   /// Selects the specialization policy (default: the paper's). Also
@@ -229,14 +230,14 @@ public:
   /// binary parks here until no frame can still be running it.
   const CodeReclaimer &codeReclaimer() const { return Reclaimer; }
 
-  /// The shared SpecSig-keyed code cache, or nullptr when disabled
-  /// (EngineKnobs::CodeCacheBytes == 0). Test/harness introspection:
-  /// hit/miss/eviction counters, resident bytes.
-  const CodeCache *codeCache() const { return Cache.get(); }
+  /// The specialization table, which holds every specialized binary
+  /// (never null). Test/harness introspection: hit/miss/eviction
+  /// counters, resident bytes; budgetBytes() is 0 without a byte budget.
+  const CodeCache *codeCache() const { return &Cache; }
 
-  /// Distinct specialized signatures the cache will hold per function
-  /// before the miss policy falls back to a generic binary (and stops
-  /// specializing that function) — the multi-signature analogue of the
+  /// The signature cap under a byte budget: distinct specialized
+  /// signatures the table holds per function before further misses run
+  /// a generic fallback body — the multi-signature analogue of the
   /// paper's one-miss despecialization rule.
   static constexpr uint32_t CodeCacheSigLimit = 8;
 
@@ -282,20 +283,13 @@ public:
 
 private:
   struct FuncState {
+    /// The generic body (entry or OSR); specialized ones live in Cache.
     /// Shared: in-flight executions (including recursive ones) keep the
     /// binary alive after the engine discards it.
     std::shared_ptr<NativeCode> Code;
-    bool Specialized = false;
     bool NeverSpecialize = false;
     bool EverSpecialized = false;
     bool EverDespecialized = false;
-    SpecSig Sig;    ///< Entry signature (value entries GC-rooted).
-    SpecSig OsrSig; ///< Frame-slot signature for OSR revalidation.
-    /// Extra specialized binaries when the cache depth exceeds 1 (the
-    /// paper's future-work heuristic). Each entry pairs a signature with
-    /// its binary.
-    std::vector<std::pair<SpecSig, std::shared_ptr<NativeCode>>>
-        ExtraSpecializations;
     uint32_t Compiles = 0;
     double CompileSeconds = 0.0; ///< Summed over this function's compiles.
     uint64_t NativeRuns = 0; ///< Native executions entered.
@@ -310,10 +304,9 @@ private:
     size_t MinCodeSizePostFusion = SIZE_MAX;
     uint32_t FusedOps = 0;
     /// Bumped whenever the policy state an in-flight compile was built
-    /// against is invalidated (bailout-limit discard, cache
-    /// invalidation). A finished task whose stamped generation no longer
-    /// matches is dropped at install instead of linked; cache entries
-    /// carry the same stamp.
+    /// against is invalidated (a bailout-limit discard). A finished task
+    /// whose stamped generation no longer matches is dropped at install
+    /// instead of linked; table entries carry the same stamp.
     uint32_t Generation = 0;
     /// A queued/running compile exists for this function (free-running
     /// background mode only); gates policy decisions and re-enqueueing
@@ -355,7 +348,7 @@ private:
   std::shared_ptr<NativeCode>
   installFinished(bool Wait, const CompileTask *Wanted = nullptr);
   /// The one install path: records the compile's stats, links the binary
-  /// into its target (primary slot, extra slot or shared cache) and
+  /// (a specialized one into the table, a generic one as FS.Code) and
   /// clears FS.CompilePending. Drops results whose generation is stale.
   std::shared_ptr<NativeCode> installCompleted(CompileTask &Task);
   /// Unlinks a binary: parks it on the reclaimer, which keeps its pool
@@ -366,10 +359,6 @@ private:
   void enqueueCompileTask(FuncState &FS, std::shared_ptr<CompileTask> Task);
   /// Immutable whole-program feedback copy for one background build.
   std::shared_ptr<const FeedbackSnapshot> captureFeedback(FunctionInfo *Info);
-
-  // Signature construction/matching (makeSpecSig, specSigMatches,
-  // specSigTier) are free functions in jit/SpecSig.h, shared with the
-  // code cache.
 
   /// Tiered policy: initial per-parameter tiers for \p Info, consulting
   /// the profiler when attached (all-Value otherwise). Main-thread only
@@ -385,16 +374,39 @@ private:
                                      const Value *Args, size_t NumArgs,
                                      bool &SawTypeMismatch);
 
+  /// The miss rule, the one policy that differs between modes: whether
+  /// a signature miss at the cap keeps the function's table entries.
+  /// Serving (a byte budget) keeps them beside a generic fallback; the
+  /// paper policy and CacheDepth retire them.
+  bool keepsEntriesOnMiss() const { return Cache.budgetBytes() != 0; }
+  /// Specialized signatures the table holds per function: CacheDepth, or
+  /// CodeCacheSigLimit under a byte budget.
+  uint32_t sigCap() const {
+    return keepsEntriesOnMiss() ? CodeCacheSigLimit : CacheDepth;
+  }
+
+  /// Records one despecialization of \p Info and applies the miss rule.
+  /// The paper policy records \p PaperCause; the tiered policy demotes
+  /// the missed signature \p Sig against the observed \p Vals into \p
+  /// NewTiers (see demoteTiers). \returns whether to specialize again,
+  /// on NewTiers; false means recompile generic.
+  bool despecialize(FuncState &FS, FunctionInfo *Info,
+                    DespecializeCause PaperCause, const SpecSig &Sig,
+                    const Value *Vals, size_t N,
+                    std::vector<ParamTier> &NewTiers);
+
   void recordCacheHit(FuncState &FS, const SpecSig &Sig,
                       const FunctionInfo *Info);
 
-  /// Runs FS.Code (or \p CodeOverride), handling bailouts
-  /// (deoptimization to the interpreter).
-  Value execute(FuncState &FS, FunctionInfo *Info, const Value &ThisV,
+  /// Runs \p Code, handling bailouts (deoptimization to the
+  /// interpreter). A linked body that reaches the bailout limit is
+  /// unlinked, wherever it lives, with the rest of the function's table
+  /// entries.
+  Value execute(FuncState &FS, FunctionInfo *Info,
+                std::shared_ptr<NativeCode> Code, const Value &ThisV,
                 const Value *Args, size_t NumArgs, bool AtOsr,
                 const std::vector<Value> *OsrSlots, Environment *Env,
-                Environment *ClosureEnv,
-                std::shared_ptr<NativeCode> CodeOverride = nullptr);
+                Environment *ClosureEnv);
 
   Runtime &RT;
   OptConfig Config;
@@ -425,9 +437,9 @@ private:
   /// before the Runtimes they fold against go away.
   std::unique_ptr<CompileQueue> Queue;
   CodeReclaimer Reclaimer;
-  /// Shared SpecSig-keyed code cache; nullptr when disabled (the
-  /// default). See EngineKnobs::CodeCacheBytes.
-  std::unique_ptr<CodeCache> Cache;
+  /// Every specialized binary, keyed by function and SpecSig. See
+  /// EngineKnobs::CodeCacheBytes and CacheDepth.
+  CodeCache Cache;
 
   class EngineRoots;
   std::unique_ptr<EngineRoots> Roots;

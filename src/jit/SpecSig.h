@@ -3,10 +3,9 @@
 /// \file
 /// The dispatch key of one specialized binary: what each parameter (or,
 /// for OSR signatures, each frame slot) must look like for the binary to
-/// be reusable. Shared between the engine's per-function dispatch and
-/// the SpecSig-keyed shared code cache (jit/CodeCache.h), which reuses
-/// the exact same matching rules so a body compiled for one caller — or
-/// one serving session — answers any later call with an equivalent
+/// be reusable. The engine's specialization table (jit/CodeCache.h) keys
+/// every specialized binary on one, so a body compiled for one caller —
+/// or one serving session — answers any later call with an equivalent
 /// signature.
 ///
 //===----------------------------------------------------------------------===//

@@ -119,7 +119,9 @@ ServeResult jitvs::runServe(const ServeOptions &Opts, const OptConfig &Config,
   Res.MeanQueueDepth =
       DepthSamples ? DepthSum / static_cast<double>(DepthSamples) : 0.0;
 
-  if (const CodeCache *Cache = E.codeCache()) {
+  // The shared cache is the table under a byte budget (serving mode);
+  // without one the table only holds the paper policy's binaries.
+  if (const CodeCache *Cache = E.codeCache(); Cache->budgetBytes()) {
     Res.CacheEnabled = true;
     Res.Cache = Cache->stats();
     uint64_t Looked = Res.Cache.Hits + Res.Cache.Misses;

@@ -52,7 +52,7 @@ struct ServeResult {
   size_t MaxQueueDepth = 0;
   double MeanQueueDepth = 0.0;
 
-  bool CacheEnabled = false;
+  bool CacheEnabled = false; ///< The engine ran with a byte budget.
   CodeCache::Stats Cache;
   /// Hits / (Hits + Misses); 0 when the cache is off or idle.
   double CacheHitRate = 0.0;

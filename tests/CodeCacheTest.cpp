@@ -1,14 +1,14 @@
 //===- tests/CodeCacheTest.cpp - Shared SpecSig code cache ----------------===//
 ///
 /// \file
-/// The shared specialization code cache (jit/CodeCache.h), unit-level
+/// The specialization table (jit/CodeCache.h), unit-level
 /// and through the engine: signature keying, byte accounting, the
 /// cost-aware-LRU eviction order, oversize rejection, stale-generation
 /// drops, the per-function signature cap with its generic-fallback
 /// dispatch, despecialization invalidation, and — via drain mode — the
 /// invalidation-under-eviction interleaving with a background compiler.
-/// Plus the contract that matters most: with the cache off, behavior is
-/// the legacy one-binary policy, bit for bit.
+/// Plus the contract that matters most: without a byte budget, behavior
+/// is the legacy one-binary policy, bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -177,7 +177,7 @@ TEST(CodeCacheEngine, SignatureCapFallsBackToGenericButKeepsEntries) {
   E.setCallThreshold(2);
   E.setLoopThreshold(100000);
   // 16 distinct values > CodeCacheSigLimit (8): the cache fills its 8
-  // slots, then the function gets one generic primary; the 8 cached
+  // slots, then the function gets one generic fallback; the 8 cached
   // signatures keep serving their values.
   std::string Src = "function f(x) { return x + 1; }\n";
   for (int Round = 0; Round < 3; ++Round)
@@ -265,8 +265,8 @@ TEST(CodeCacheEngine, DrainModeEvictionUnderBackgroundCompiles) {
 }
 
 TEST(CodeCacheEngine, DisabledCacheMatchesLegacyPolicy) {
-  // Same program, cache off vs on: identical observable output; with
-  // the cache off the engine must behave exactly like the legacy
+  // Same program without and with a byte budget: identical observable
+  // output; without one the engine must behave exactly like the legacy
   // one-binary policy (one despecialization, generic recompile).
   const char *Src = "function f(x) { return x * 2; }"
                     "var r = 0;"
@@ -280,7 +280,7 @@ TEST(CodeCacheEngine, DisabledCacheMatchesLegacyPolicy) {
     E.setCallThreshold(4);
     RT.evaluate(Src);
     ASSERT_FALSE(RT.hasError());
-    EXPECT_EQ(E.codeCache(), nullptr);
+    EXPECT_EQ(E.codeCache()->budgetBytes(), 0u);
     EXPECT_EQ(E.stats().Despecializations, 1u);
     OutOff = RT.output();
   }

@@ -253,11 +253,30 @@ RunCounts runCounted(const std::string &Source, const EngineKnobs &Knobs) {
   RT.evaluate(Source);
   RunCounts R;
   R.Stats = E.stats();
-  if (E.codeCache())
-    R.Cache = E.codeCache()->stats();
+  R.Cache = E.codeCache()->stats();
   R.Output = RT.hasError() ? "error: " + RT.errorMessage() : RT.output();
   return R;
 }
+
+/// Every EngineStats count but the two wall-clock fields.
+constexpr std::pair<const char *, uint64_t EngineStats::*> StatCounts[] = {
+    {"Compilations", &EngineStats::Compilations},
+    {"Recompilations", &EngineStats::Recompilations},
+    {"SpecializedCompiles", &EngineStats::SpecializedCompiles},
+    {"GenericCompiles", &EngineStats::GenericCompiles},
+    {"Despecializations", &EngineStats::Despecializations},
+    {"CacheHits", &EngineStats::CacheHits},
+    {"ValueTierHits", &EngineStats::ValueTierHits},
+    {"TypeTierHits", &EngineStats::TypeTierHits},
+    {"TierDemotionsValueToType", &EngineStats::TierDemotionsValueToType},
+    {"TierDemotionsToGeneric", &EngineStats::TierDemotionsToGeneric},
+    {"GenericFallbacks", &EngineStats::GenericFallbacks},
+    {"Bailouts", &EngineStats::Bailouts},
+    {"OsrEntries", &EngineStats::OsrEntries},
+    {"NativeCalls", &EngineStats::NativeCalls},
+    {"InterpretedCalls", &EngineStats::InterpretedCalls},
+    {"FusedOps", &EngineStats::FusedOps},
+};
 
 /// Names each count that differs between \p A and \p B.
 std::string countDiff(const RunCounts &A, const RunCounts &B) {
@@ -267,24 +286,8 @@ std::string countDiff(const RunCounts &A, const RunCounts &B) {
       Diff += std::string(" ") + Name + " " + std::to_string(X) + " vs " +
               std::to_string(Y) + ";";
   };
-#define JITVS_CHECK_STAT(F) Check(#F, A.Stats.F, B.Stats.F)
-  JITVS_CHECK_STAT(Compilations);
-  JITVS_CHECK_STAT(Recompilations);
-  JITVS_CHECK_STAT(SpecializedCompiles);
-  JITVS_CHECK_STAT(GenericCompiles);
-  JITVS_CHECK_STAT(Despecializations);
-  JITVS_CHECK_STAT(CacheHits);
-  JITVS_CHECK_STAT(ValueTierHits);
-  JITVS_CHECK_STAT(TypeTierHits);
-  JITVS_CHECK_STAT(TierDemotionsValueToType);
-  JITVS_CHECK_STAT(TierDemotionsToGeneric);
-  JITVS_CHECK_STAT(GenericFallbacks);
-  JITVS_CHECK_STAT(Bailouts);
-  JITVS_CHECK_STAT(OsrEntries);
-  JITVS_CHECK_STAT(NativeCalls);
-  JITVS_CHECK_STAT(InterpretedCalls);
-  JITVS_CHECK_STAT(FusedOps);
-#undef JITVS_CHECK_STAT
+  for (auto [Name, Field] : StatCounts)
+    Check(Name, A.Stats.*Field, B.Stats.*Field);
   for (size_t I = 0; I != NumBailoutReasons; ++I)
     Check(bailoutReasonName(static_cast<BailoutReason>(I)),
           A.Stats.BailoutsByReason[I], B.Stats.BailoutsByReason[I]);
@@ -302,12 +305,46 @@ std::string countDiff(const RunCounts &A, const RunCounts &B) {
   return Diff;
 }
 
+/// Adds every count of \p S into \p Sum.
+void addCounts(EngineStats &Sum, const EngineStats &S) {
+  for (auto [Name, Field] : StatCounts)
+    Sum.*Field += S.*Field;
+  for (size_t I = 0; I != NumBailoutReasons; ++I)
+    Sum.BailoutsByReason[I] += S.BailoutsByReason[I];
+}
+
+/// "Name value" for every count of \p S, non-zero bailout reasons only.
+std::string describeCounts(const EngineStats &S) {
+  std::string Out;
+  auto Add = [&Out](const std::string &Name, uint64_t V) {
+    Out += (Out.empty() ? "" : " ") + Name + " " + std::to_string(V);
+  };
+  for (auto [Name, Field] : StatCounts)
+    Add(Name, S.*Field);
+  for (size_t I = 0; I != NumBailoutReasons; ++I)
+    if (S.BailoutsByReason[I])
+      Add(std::string("bailouts.") +
+              bailoutReasonName(static_cast<BailoutReason>(I)),
+          S.BailoutsByReason[I]);
+  return Out;
+}
+
+/// Inline-mode counts summed over each program set, as describeCounts
+/// prints them; a null field is not checked.
+struct PinnedCounts {
+  const char *Suite = nullptr;
+  const char *Generated = nullptr;
+};
+
 /// The count-parity contract of drain mode: one background worker that
 /// the caller waits on after every enqueue must leave exactly the counts
 /// the inline compiles leave, on the 23 suite programs at the default
 /// thresholds and on 100 generated programs at the fuzzer's thresholds
-/// (which despecialize, enter OSR and bail out often).
-void expectDrainParity(TierPolicy Policy, size_t CacheBytes) {
+/// (which despecialize, enter OSR and bail out often). With \p Pinned,
+/// the inline counts summed over each set must also equal the recorded
+/// ones.
+void expectDrainParity(TierPolicy Policy, size_t CacheBytes,
+                       const PinnedCounts &Pinned = {}) {
   EngineKnobs Suite;
   Suite.Policy = Policy;
   Suite.CodeCacheBytes = CacheBytes;
@@ -318,22 +355,25 @@ void expectDrainParity(TierPolicy Policy, size_t CacheBytes) {
   struct Program {
     std::string Name, Source;
     EngineKnobs Inline;
+    bool IsGenerated;
   };
   std::vector<Program> Programs;
   for (const Workload &W : allWorkloads())
-    Programs.push_back({W.Name, W.Source, Suite});
+    Programs.push_back({W.Name, W.Source, Suite, false});
   for (uint64_t Seed = 1; Seed <= 100; ++Seed)
     Programs.push_back({"seed " + std::to_string(Seed),
-                        fuzz::generateProgram(Seed).render(), Generated});
+                        fuzz::generateProgram(Seed).render(), Generated, true});
   ASSERT_EQ(Programs.size(), 123u);
 
   size_t Differing = 0;
+  EngineStats SuiteSum, GeneratedSum;
   for (const Program &P : Programs) {
     EngineKnobs Drain = P.Inline;
     Drain.CompileThreads = 1;
     Drain.CompileDrain = true;
     RunCounts A = runCounted(P.Source, P.Inline);
     RunCounts B = runCounted(P.Source, Drain);
+    addCounts(P.IsGenerated ? GeneratedSum : SuiteSum, A.Stats);
     std::string Diff = countDiff(A, B);
     if (!Diff.empty() && ++Differing <= 5)
       ADD_FAILURE() << P.Name << " (inline vs drain):" << Diff;
@@ -344,12 +384,38 @@ void expectDrainParity(TierPolicy Policy, size_t CacheBytes) {
     }
   }
   EXPECT_EQ(Differing, 0u) << "programs whose counts differ";
+  if (Pinned.Suite) {
+    EXPECT_EQ(describeCounts(SuiteSum), Pinned.Suite) << "suite programs";
+  }
+  if (Pinned.Generated) {
+    EXPECT_EQ(describeCounts(GeneratedSum), Pinned.Generated)
+        << "generated programs";
+  }
 }
 
 constexpr size_t ServeCacheBytes = 120 * 1024;
 
 TEST(AsyncEngine, DrainModeCountsMatchInlinePaper) {
-  expectDrainParity(TierPolicy::Paper, 0);
+  // The paper policy's counts, recorded before the specialized binaries
+  // moved into one table; any policy change that moves them shows here.
+  PinnedCounts Pinned;
+  Pinned.Suite =
+      "Compilations 93 Recompilations 33 SpecializedCompiles 61 "
+      "GenericCompiles 32 Despecializations 31 CacheHits 9160 "
+      "ValueTierHits 9160 TypeTierHits 0 TierDemotionsValueToType 0 "
+      "TierDemotionsToGeneric 0 GenericFallbacks 0 Bailouts 24 "
+      "OsrEntries 63 NativeCalls 98115 InterpretedCalls 185 FusedOps 479 "
+      "bailouts.int-overflow 12 bailouts.type-guard 12";
+  Pinned.Generated =
+      "Compilations 790 Recompilations 362 SpecializedCompiles 455 "
+      "GenericCompiles 335 Despecializations 261 CacheHits 3882 "
+      "ValueTierHits 3882 TypeTierHits 0 TierDemotionsValueToType 0 "
+      "TierDemotionsToGeneric 0 GenericFallbacks 0 Bailouts 753 "
+      "OsrEntries 709 NativeCalls 63055 InterpretedCalls 692 FusedOps 3412 "
+      "bailouts.int-overflow 116 bailouts.negative-zero 25 "
+      "bailouts.type-guard 332 bailouts.number-guard 139 "
+      "bailouts.bounds-check 118 bailouts.shape-guard 23";
+  expectDrainParity(TierPolicy::Paper, 0, Pinned);
 }
 
 TEST(AsyncEngine, DrainModeCountsMatchInlineTiered) {

@@ -211,6 +211,60 @@ TEST(Policy, CacheDepthTwoStillDeoptsOnThirdSet) {
   EXPECT_EQ(E.stats().Despecializations, 1u);
 }
 
+TEST(Policy, CacheDepthTwoDiscardsABailingSecondSlot) {
+  // The second slot's body guards o.v as a number; once b.v is a string
+  // every call bails. The bailout limit must unlink that body, wherever
+  // it is kept, exactly as it does the first slot's.
+  const char *Src = "function f(o) { return o.v * 2; }"
+                    "var a = {v: 1}; var b = {v: 2};"
+                    "for (var i = 0; i < 10; i++) f(a);" // First slot.
+                    "for (var i = 0; i < 10; i++) f(b);" // Second slot.
+                    "b.v = 'x';"
+                    "var r = 0;"
+                    "for (var i = 0; i < 200; i++) r = f(b);"
+                    "print(r);";
+  Runtime Ref; // The interpreter alone.
+  Ref.evaluate(Src);
+  Runtime RT;
+  Engine E(RT, OptConfig::all());
+  E.setCallThreshold(3);
+  E.setLoopThreshold(1000000); // Keep top-level code interpreted.
+  E.setBailoutLimit(12);
+  E.setCacheDepth(2);
+  RT.evaluate(Src);
+  ASSERT_FALSE(RT.hasError());
+  EXPECT_EQ(RT.output(), Ref.output());
+  EXPECT_LE(E.stats().Bailouts, 12u);
+}
+
+TEST(Policy, LoopHeadDespecializationUnlinksEverySlot) {
+  // f(b) fills the second slot, overflows, bails and despecializes at
+  // its loop head. Afterwards nothing may keep b (and its 2,000 padding
+  // objects) alive: the heap ends as small as with one slot.
+  auto LiveObjectsAfter = [](uint32_t Depth) {
+    Runtime RT;
+    Engine E(RT, OptConfig::all());
+    E.setCallThreshold(3);
+    E.setCacheDepth(Depth);
+    RT.evaluate("function f(o) { var s = 0;"
+                "  for (var i = 0; i < o.n; i++) s = s + i; return s; }"
+                "var a = {n: 5};"
+                "for (var i = 0; i < 10; i++) f(a);"
+                "var b = {n: 100000, pad: []};"
+                "for (var i = 0; i < 2000; i++) b.pad.push({});"
+                "f(b);"
+                "b = null;"
+                // Dispatch boundaries: the reclaimer frees what was
+                // unlinked once no frame can still run it.
+                "function g() { return 0; } g(); g(); g();");
+    EXPECT_FALSE(RT.hasError());
+    for (int I = 0; I != 4; ++I)
+      RT.heap().collect();
+    return RT.heap().objectCount();
+  };
+  EXPECT_EQ(LiveObjectsAfter(2), LiveObjectsAfter(1));
+}
+
 TEST(Policy, CompileTimeIsAccounted) {
   Runtime RT;
   Engine E(RT, OptConfig::all());

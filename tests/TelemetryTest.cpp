@@ -459,8 +459,9 @@ TEST_F(TelemetryTest, FunctionReportsCarryBailoutsCacheHitsAndCause) {
               "print('done');");
   ASSERT_FALSE(RT.hasError());
 
+  const std::vector<Engine::FunctionReport> Reports = E.functionReports();
   const Engine::FunctionReport *F = nullptr;
-  for (const Engine::FunctionReport &R : E.functionReports())
+  for (const Engine::FunctionReport &R : Reports)
     if (R.Name == "f")
       F = &R;
   ASSERT_NE(F, nullptr);
