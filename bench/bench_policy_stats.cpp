@@ -55,7 +55,7 @@ int main() {
         if (!R.WasSpecialized)
           continue;
         ++Specialized;
-        if (R.Despecialized)
+        if (R.Despecializations > 0)
           ++Deoptimized;
         else
           ++Successful;
@@ -203,7 +203,7 @@ int main() {
           if (!R.WasSpecialized)
             continue;
           ++Specialized;
-          if (R.Despecialized)
+          if (R.Despecializations > 0)
             ++Deoptimized;
         }
       }

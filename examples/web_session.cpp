@@ -67,7 +67,7 @@ int main(int argc, char **argv) {
     if (!R.WasSpecialized)
       continue;
     ++Specialized;
-    if (!R.Despecialized)
+    if (R.Despecializations == 0)
       ++Successful;
   }
   std::printf("\npolicy outcome: %llu functions specialized, %llu kept "

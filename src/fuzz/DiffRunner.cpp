@@ -131,8 +131,10 @@ RunOutcome runOnce(const std::string &Source, const EngineSetup &Setup) {
   Out.HadError = RT.hasError();
   if (Out.HadError)
     Out.Error = RT.errorMessage();
-  if (E)
+  if (E) {
     Out.Stats = E->stats();
+    Out.CacheStats = E->codeCache()->stats();
+  }
   return Out;
 }
 
@@ -184,16 +186,12 @@ std::string describeDivergence(const Divergence &D, uint64_t Seed,
   describeOutcome(OS, "reference (interp)", D.Reference);
   describeOutcome(OS, D.ConfigName.c_str(), D.Actual);
   const EngineStats &S = D.Actual.Stats;
-  OS << "telemetry: compiles=" << S.Compilations
-     << " specialized=" << S.SpecializedCompiles
-     << " generic=" << S.GenericCompiles
-     << " despecializations=" << S.Despecializations
-     << " cache-hits=" << S.CacheHits << " (value=" << S.ValueTierHits
-     << " type=" << S.TypeTierHits << ")"
-     << " tier-demotions=" << S.TierDemotionsValueToType << "/"
-     << S.TierDemotionsToGeneric << " osr=" << S.OsrEntries
-     << " fused=" << S.FusedOps << "\n";
-  OS << "bailouts: total=" << S.Bailouts;
+  OS << "telemetry:";
+  for (auto [Name, Field] : EngineStatCounts)
+    OS << " " << Name << "=" << S.*Field;
+  for (auto [Name, Field] : CodeCacheStatCounts)
+    OS << " " << Name << "=" << D.Actual.CacheStats.*Field;
+  OS << "\nbailouts:";
   for (size_t I = 0; I < NumBailoutReasons; ++I)
     if (S.BailoutsByReason[I])
       OS << " " << bailoutReasonName(static_cast<BailoutReason>(I)) << "="

@@ -56,6 +56,7 @@ struct RunOutcome {
   std::string Error;      ///< Runtime::errorMessage().
   std::string Completion; ///< Rendered completion value (-0 aware).
   EngineStats Stats;      ///< Zero-initialized for the interpreter run.
+  CodeCache::Stats CacheStats; ///< Likewise.
 
   bool sameObservable(const RunOutcome &O) const {
     return Output == O.Output && HadError == O.HadError && Error == O.Error &&

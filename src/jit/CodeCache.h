@@ -50,6 +50,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace jitvs {
@@ -153,6 +154,21 @@ private:
   size_t Count = 0;
   uint64_t Clock = 0;
   Stats Counters;
+};
+
+/// Every CodeCache::Stats count under its metrics-registry name (see
+/// EngineStatCounts in jit/Engine.h).
+inline constexpr std::pair<const char *, uint64_t CodeCache::Stats::*>
+    CodeCacheStatCounts[] = {
+        {"engine.code_cache.hits", &CodeCache::Stats::Hits},
+        {"engine.code_cache.misses", &CodeCache::Stats::Misses},
+        {"engine.code_cache.insertions", &CodeCache::Stats::Insertions},
+        {"engine.code_cache.evictions", &CodeCache::Stats::Evictions},
+        {"engine.code_cache.invalidations", &CodeCache::Stats::Invalidations},
+        {"engine.code_cache.stale_generation_drops",
+         &CodeCache::Stats::StaleGenerationDrops},
+        {"engine.code_cache.rejected_oversize",
+         &CodeCache::Stats::RejectedOversize},
 };
 
 } // namespace jitvs

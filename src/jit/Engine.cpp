@@ -237,7 +237,10 @@ Engine::~Engine() {
 }
 
 Engine::FuncState &Engine::state(FunctionInfo *Info) {
-  return States[Info];
+  auto [It, Inserted] = States.try_emplace(Info);
+  if (Inserted)
+    It->second.Report.Name = Info->Name;
+  return It->second;
 }
 
 std::vector<ParamTier> Engine::chooseTiers(FunctionInfo *Info,
@@ -259,7 +262,7 @@ std::vector<ParamTier> Engine::demoteTiers(FunctionInfo *Info,
                                            bool &SawTypeMismatch) {
   SawTypeMismatch = false;
   auto RecordTransition = [&](size_t I, const char *Edge) {
-    ++state(Info).TierTransitions;
+    ++state(Info).Report.TierTransitions;
     if (!telemetryEnabled(TelCache))
       return;
     TelemetryEvent E;
@@ -320,19 +323,17 @@ std::vector<ParamTier> Engine::demoteTiers(FunctionInfo *Info,
 void Engine::recordCacheHit(FuncState &FS, const SpecSig &Sig,
                             const FunctionInfo *Info) {
   ++Stats.CacheHits;
-  ++FS.CacheHits;
   // A binary is a "type-tier" reuse when its strongest remaining
   // assumption is a tag; anything baking at least one exact value — and
   // the degenerate zero-parameter signature, which the paper policy
   // treats as (vacuously) value-specialized — counts as a value hit.
   if (specSigTier(Sig) == ParamTier::Type) {
     ++Stats.TypeTierHits;
-    ++FS.TypeTierHits;
+    ++FS.Report.TypeTierHits;
   } else {
     ++Stats.ValueTierHits;
-    ++FS.ValueTierHits;
+    ++FS.Report.ValueTierHits;
   }
-  ++Stats.NativeCalls;
   recordCacheEvent(TelemetryEventKind::CacheHit, Info);
 }
 
@@ -455,18 +456,19 @@ bool Engine::despecialize(FuncState &FS, FunctionInfo *Info,
                           DespecializeCause PaperCause, const SpecSig &Sig,
                           const Value *Vals, size_t N,
                           std::vector<ParamTier> &NewTiers) {
+  FunctionReport &R = FS.Report;
   if (Policy == TierPolicy::Paper) {
-    FS.Cause = PaperCause;
+    R.Cause = PaperCause;
   } else {
     bool SawTypeMismatch = false;
     NewTiers = demoteTiers(Info, Sig, Vals, N, SawTypeMismatch);
-    FS.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
-                               : DespecializeCause::ValueMismatch;
+    R.Cause = SawTypeMismatch ? DespecializeCause::TypeMismatch
+                              : DespecializeCause::ValueMismatch;
   }
   ++Stats.Despecializations;
-  FS.EverDespecialized = true;
+  ++R.Despecializations;
   recordCacheEvent(TelemetryEventKind::Despecialize, Info,
-                   despecializeCauseName(FS.Cause));
+                   despecializeCauseName(R.Cause));
   bool Kept = keepsEntriesOnMiss();
   if (!Kept)
     Cache.invalidate(Info, Reclaimer);
@@ -635,23 +637,24 @@ std::shared_ptr<NativeCode> Engine::installCompleted(CompileTask &Task) {
   Out->Donated = {};
 
   const NativeCode &Code = *Out->Code;
+  FunctionReport &R = FS.Report;
   Stats.FusedOps += Out->Fused;
   ++Stats.Compilations;
   if (Task.Specialized)
     ++Stats.SpecializedCompiles;
   else
     ++Stats.GenericCompiles;
-  ++FS.Compiles;
-  FS.CompileSeconds += Out->Seconds;
-  if (FS.Compiles > 1)
+  ++R.Compiles;
+  R.CompileSeconds += Out->Seconds;
+  if (R.Compiles > 1)
     ++Stats.Recompilations;
-  FS.MinCodeSize = std::min(FS.MinCodeSize, Code.sizeInInstructions());
-  FS.MinCodeSizePostFusion =
-      std::min(FS.MinCodeSizePostFusion, Code.sizeInInstructionsPostFusion());
-  FS.FusedOps += Code.FusedPairs;
+  R.MinCodeSize = std::min(R.MinCodeSize, Code.sizeInInstructions());
+  R.MinCodeSizePostFusion =
+      std::min(R.MinCodeSizePostFusion, Code.sizeInInstructionsPostFusion());
+  R.FusedOps += Code.FusedPairs;
 
   if (Task.Specialized) {
-    FS.EverSpecialized = true;
+    R.WasSpecialized = true;
     SpecSig OsrSig;
     if (Task.IsOsr)
       OsrSig = makeSpecSig(&Task.OsrTiers, Task.OsrSlots.data(),
@@ -680,8 +683,8 @@ std::shared_ptr<NativeCode> Engine::submit(FuncState &FS,
   Task->Generation = FS.Generation;
   // A function that already had a binary is interpreting right now; its
   // recompile outranks first compiles in the queue.
-  Task->Priority = FS.Compiles ? CompilePriority::Recompile
-                               : CompilePriority::FirstCompile;
+  Task->Priority = FS.Report.Compiles ? CompilePriority::Recompile
+                                      : CompilePriority::FirstCompile;
   if (!Queue) {
     // Inline: live feedback, the main heap. Folding may collect, so the
     // task's value snapshots stay rooted until the install reads them.
@@ -709,7 +712,7 @@ Value Engine::execute(FuncState &FS, FunctionInfo *Info,
                       Environment *ClosureEnv) {
   // Code is held by value: nested calls may unlink this binary while we
   // are still executing it.
-  ++FS.NativeRuns;
+  ++FS.Report.NativeRuns;
   ExecResult R = Exec.run(*Code, ThisV, Args, NumArgs, AtOsr,
                           OsrSlots ? OsrSlots->data() : nullptr,
                           OsrSlots ? OsrSlots->size() : 0, Env, ClosureEnv);
@@ -726,7 +729,7 @@ Value Engine::execute(FuncState &FS, FunctionInfo *Info,
   ++Stats.Bailouts;
   ++Stats.BailoutsByReason[static_cast<size_t>(R.BailReason)];
   ++FS.Bailouts;
-  ++FS.TotalBailouts;
+  ++FS.Report.Bailouts;
   const Snapshot &S = Code->Snapshots[R.SnapshotId];
   if (telemetryEnabled(TelBailout)) {
     TelemetryEvent E;
@@ -827,6 +830,7 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
   FuncState &FS = state(Info);
 
   auto Run = [&](std::shared_ptr<NativeCode> Code) {
+    ++Stats.NativeCalls;
     Result = execute(FS, Info, std::move(Code), ThisV, Args, NumArgs,
                      /*AtOsr=*/false, nullptr, nullptr,
                      Callee->environment());
@@ -848,7 +852,6 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
     Callee = CalleeV.asFunction();
     if (!Code)
       return Interpret(); // A free-running compile is in flight.
-    ++Stats.NativeCalls;
     return Run(std::move(Code));
   };
 
@@ -860,10 +863,8 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
     recordCacheHit(FS, *HitSig, Info);
     return Run(std::move(Code));
   }
-  if (FS.Code) {
-    ++Stats.NativeCalls;
+  if (FS.Code)
     return Run(FS.Code);
-  }
 
   // A miss. A function without a binary waits for its call threshold,
   // and decisions wait for an in-flight compile to install.
@@ -958,7 +959,7 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
     // despecialization below unlinks binaries and changes the
     // function's state, and leaving after that would strand it half
     // way.
-    if ((FS.Code || !Entries.empty()) && FS.Compiles > 8)
+    if ((FS.Code || !Entries.empty()) && FS.Report.Compiles > 8)
       return false;
     // Compile (or recompile) with an OSR entry at this loop head. The
     // new body replaces the generic body, the table's OSR body and the
@@ -1019,57 +1020,20 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
 
 std::vector<Engine::FunctionReport> Engine::functionReports() const {
   std::vector<FunctionReport> Out;
-  for (const auto &[Info, FS] : States) {
-    FunctionReport R;
-    R.Name = Info->Name;
-    R.WasSpecialized = FS.EverSpecialized;
-    R.Despecialized = FS.EverDespecialized;
-    R.Cause = FS.Cause;
-    R.Compiles = FS.Compiles;
-    R.CompileSeconds = FS.CompileSeconds;
-    R.NativeRuns = FS.NativeRuns;
-    R.Bailouts = FS.TotalBailouts;
-    R.TierTransitions = FS.TierTransitions;
-    R.CacheHits = FS.CacheHits;
-    R.ValueTierHits = FS.ValueTierHits;
-    R.TypeTierHits = FS.TypeTierHits;
-    R.MinCodeSize = FS.MinCodeSize;
-    R.MinCodeSizePostFusion = FS.MinCodeSizePostFusion;
-    R.FusedOps = FS.FusedOps;
-    Out.push_back(std::move(R));
-  }
+  for (const auto &[Info, FS] : States)
+    Out.push_back(FS.Report);
   return Out;
 }
 
 void Engine::publishMetrics() {
-  if (MetricsPublished)
-    return;
-  MetricsPublished = true;
   Metrics &M = metrics();
-
-  M.addCounter("engine.compilations", Stats.Compilations);
-  M.addCounter("engine.recompilations", Stats.Recompilations);
-  M.addCounter("engine.compiles.specialized", Stats.SpecializedCompiles);
-  M.addCounter("engine.compiles.generic", Stats.GenericCompiles);
-  M.addCounter("engine.despecializations", Stats.Despecializations);
-  M.addCounter("engine.cache_hits", Stats.CacheHits);
-  M.addCounter("engine.cache_hits.value_tier", Stats.ValueTierHits);
-  M.addCounter("engine.cache_hits.type_tier", Stats.TypeTierHits);
-  M.addCounter("engine.tier_demotions.value_to_type",
-               Stats.TierDemotionsValueToType);
-  M.addCounter("engine.tier_demotions.to_generic",
-               Stats.TierDemotionsToGeneric);
-  M.addCounter("engine.generic_fallbacks", Stats.GenericFallbacks);
-  M.addCounter("engine.bailouts", Stats.Bailouts);
+  for (auto [Name, Field] : EngineStatCounts)
+    M.addCounter(Name, Stats.*Field);
   for (size_t I = 0; I != NumBailoutReasons; ++I)
     if (Stats.BailoutsByReason[I])
       M.addCounter(std::string("engine.bailouts.") +
                        bailoutReasonName(static_cast<BailoutReason>(I)),
                    Stats.BailoutsByReason[I]);
-  M.addCounter("engine.osr_entries", Stats.OsrEntries);
-  M.addCounter("engine.calls.native", Stats.NativeCalls);
-  M.addCounter("engine.calls.interpreted", Stats.InterpretedCalls);
-  M.addCounter("engine.fused_ops", Stats.FusedOps);
   M.setGauge("engine.compile_seconds", Stats.CompileSeconds);
   M.setGauge("engine.compile_stall_seconds", Stats.CompileStallSeconds);
   if (Queue) {
@@ -1083,34 +1047,27 @@ void Engine::publishMetrics() {
     M.setGauge("engine.compile_queue.depth",
                static_cast<double>(Queue->depth()));
   }
-  const CodeCache::Stats &CS = Cache.stats();
-  M.addCounter("engine.code_cache.hits", CS.Hits);
-  M.addCounter("engine.code_cache.misses", CS.Misses);
-  M.addCounter("engine.code_cache.insertions", CS.Insertions);
-  M.addCounter("engine.code_cache.evictions", CS.Evictions);
-  M.addCounter("engine.code_cache.invalidations", CS.Invalidations);
-  M.addCounter("engine.code_cache.stale_generation_drops",
-               CS.StaleGenerationDrops);
-  M.addCounter("engine.code_cache.rejected_oversize", CS.RejectedOversize);
+  for (auto [Name, Field] : CodeCacheStatCounts)
+    M.addCounter(Name, Cache.stats().*Field);
   M.setGauge("engine.code_cache.resident_bytes",
              static_cast<double>(Cache.residentBytes()));
   M.setGauge("engine.code_cache.budget_bytes",
              static_cast<double>(Cache.budgetBytes()));
   M.setGauge("engine.code_cache.entries", static_cast<double>(Cache.size()));
 
-  for (const FunctionReport &R : functionReports()) {
+  for (const auto &[Info, FS] : States) {
+    const FunctionReport &R = FS.Report;
     Metrics::FunctionMetrics FM;
     FM.NativeRuns = R.NativeRuns;
     FM.Compiles = R.Compiles;
     FM.CompileNs = static_cast<uint64_t>(R.CompileSeconds * 1e9);
     FM.Bailouts = R.Bailouts;
-    FM.CacheHits = R.CacheHits;
+    FM.CacheHits = R.ValueTierHits + R.TypeTierHits;
     FM.TierTransitions = R.TierTransitions;
-    FM.Despecializations = R.Despecialized ? 1 : 0;
+    FM.Despecializations = R.Despecializations;
     M.mergeFunction(R.Name, FM);
   }
 }
-
 
 NativeCode *Engine::compileNow(FunctionInfo *Info,
                                const std::vector<Value> *Args,

@@ -35,6 +35,7 @@
 #include <array>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace jitvs {
@@ -91,6 +92,32 @@ struct EngineStats {
   /// drainCompiles() waits in background mode. The gap between the two
   /// is the stall the off-thread pipeline hid.
   double CompileStallSeconds = 0.0;
+};
+
+/// Every EngineStats count under its metrics-registry name, the one list
+/// the registry fold, the fuzzer's divergence report and the drain-parity
+/// test walk. Not listed: the two wall-clock fields (published as gauges)
+/// and BailoutsByReason (published as "engine.bailouts.<reason>").
+inline constexpr std::pair<const char *, uint64_t EngineStats::*>
+    EngineStatCounts[] = {
+        {"engine.compilations", &EngineStats::Compilations},
+        {"engine.recompilations", &EngineStats::Recompilations},
+        {"engine.compiles.specialized", &EngineStats::SpecializedCompiles},
+        {"engine.compiles.generic", &EngineStats::GenericCompiles},
+        {"engine.despecializations", &EngineStats::Despecializations},
+        {"engine.cache_hits", &EngineStats::CacheHits},
+        {"engine.cache_hits.value_tier", &EngineStats::ValueTierHits},
+        {"engine.cache_hits.type_tier", &EngineStats::TypeTierHits},
+        {"engine.tier_demotions.value_to_type",
+         &EngineStats::TierDemotionsValueToType},
+        {"engine.tier_demotions.to_generic",
+         &EngineStats::TierDemotionsToGeneric},
+        {"engine.generic_fallbacks", &EngineStats::GenericFallbacks},
+        {"engine.bailouts", &EngineStats::Bailouts},
+        {"engine.osr_entries", &EngineStats::OsrEntries},
+        {"engine.calls.native", &EngineStats::NativeCalls},
+        {"engine.calls.interpreted", &EngineStats::InterpretedCalls},
+        {"engine.fused_ops", &EngineStats::FusedOps},
 };
 
 /// Why a function lost its specialized binary (per-function reporting;
@@ -241,18 +268,21 @@ public:
   /// paper's one-miss despecialization rule.
   static constexpr uint32_t CodeCacheSigLimit = 8;
 
-  /// Per-function facts for the reports.
+  /// Per-function facts for the reports, kept up to date in place. The
+  /// counts split EngineStats by function: over all functions, Compiles,
+  /// Bailouts, Despecializations and the two tier-hit counts sum to the
+  /// aggregates of those names, TierTransitions to both demotion counts,
+  /// and NativeRuns to NativeCalls plus OsrEntries.
   struct FunctionReport {
     std::string Name;
     bool WasSpecialized = false;
-    bool Despecialized = false;
-    DespecializeCause Cause = DespecializeCause::None;
+    uint32_t Despecializations = 0; ///< Losses of specialized code.
+    DespecializeCause Cause = DespecializeCause::None; ///< The latest one's.
     uint32_t Compiles = 0;
     double CompileSeconds = 0.0; ///< Total spent compiling this function.
     uint64_t NativeRuns = 0; ///< Native executions entered (any binary).
     uint32_t Bailouts = 0;  ///< Lifetime total (not reset by discards).
     uint32_t TierTransitions = 0; ///< Ladder demotion steps recorded.
-    uint32_t CacheHits = 0; ///< Specialized-binary reuses (sum of below).
     uint32_t ValueTierHits = 0; ///< Reuses of value-baking binaries.
     uint32_t TypeTierHits = 0;  ///< Reuses of type-guard-only binaries.
     size_t MinCodeSize = SIZE_MAX;
@@ -263,15 +293,6 @@ public:
     uint32_t FusedOps = 0; ///< Pairs fused across this function's compiles.
   };
   std::vector<FunctionReport> functionReports() const;
-
-  /// Folds this engine's aggregate stats and per-function reports into
-  /// the global metrics registry (telemetry/Metrics.h): EngineStats
-  /// counters land under "engine.*", function reports merge into the
-  /// per-function profiles. Called automatically (once) from the
-  /// destructor when metrics are enabled, so `JITVS_STATS` dumps include
-  /// engine aggregates without any embedder cooperation; harnesses that
-  /// snapshot before teardown call it explicitly.
-  void publishMetrics();
 
   /// Compiles \p Info immediately (test/bench hook). Returns the code (or
   /// nullptr while a free-running background compile is in flight).
@@ -288,21 +309,7 @@ private:
     /// binary alive after the engine discards it.
     std::shared_ptr<NativeCode> Code;
     bool NeverSpecialize = false;
-    bool EverSpecialized = false;
-    bool EverDespecialized = false;
-    uint32_t Compiles = 0;
-    double CompileSeconds = 0.0; ///< Summed over this function's compiles.
-    uint64_t NativeRuns = 0; ///< Native executions entered.
     uint32_t Bailouts = 0; ///< Since the last discard (policy counter).
-    uint32_t TotalBailouts = 0; ///< Lifetime total (reporting).
-    uint32_t TierTransitions = 0; ///< Ladder demotion steps.
-    uint32_t CacheHits = 0;
-    uint32_t ValueTierHits = 0;
-    uint32_t TypeTierHits = 0;
-    DespecializeCause Cause = DespecializeCause::None;
-    size_t MinCodeSize = SIZE_MAX;
-    size_t MinCodeSizePostFusion = SIZE_MAX;
-    uint32_t FusedOps = 0;
     /// Bumped whenever the policy state an in-flight compile was built
     /// against is invalidated (a bailout-limit discard). A finished task
     /// whose stamped generation no longer matches is dropped at install
@@ -312,9 +319,16 @@ private:
     /// background mode only); gates policy decisions and re-enqueueing
     /// until it installs.
     bool CompilePending = false;
+    FunctionReport Report; ///< Reporting only; policy reads Compiles.
   };
 
   FuncState &state(FunctionInfo *Info);
+
+  /// Folds this engine's counts and per-function reports into the global
+  /// metrics registry (telemetry/Metrics.h), once, from the destructor
+  /// when metrics are enabled: `JITVS_STATS` dumps at exit, after the
+  /// engines are gone.
+  void publishMetrics();
 
   /// Runs one policy decision's compile. Without a queue it compiles
   /// inline (live feedback, the main heap) and installs; with one it
@@ -423,7 +437,6 @@ private:
   TierPolicy Policy;
   uint32_t ValueStabilityMax;
   bool FusionEnabled;
-  bool MetricsPublished = false; ///< publishMetrics ran (at most once).
 
   // --- Off-thread compilation ---
   unsigned CompileThreadCount; ///< 0 = every compile runs inline.

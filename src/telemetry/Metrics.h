@@ -65,14 +65,14 @@ enum class Phase : uint8_t {
   Script,       ///< One Runtime::evaluate (load + top-level run).
   Interpret,    ///< Bytecode interpreter frames.
   ProfileCalls, ///< CallProfiler::recordCall bookkeeping.
-  Compile,      ///< One Engine::compile (whole MIR->LIR->native job).
+  Compile,      ///< One compile pipeline run (MIR -> LIR -> native).
   MIRBuild,     ///< Bytecode -> MIR graph construction.
   OptPass,      ///< One optimization pass (per-pass split: passes()).
   Codegen,      ///< MIR -> LIR -> native code emission.
   Fusion,       ///< Post-regalloc macro-op fusion.
   NativeExec,   ///< Native-code execution (Executor::run).
   Bailout,      ///< Deoptimization: snapshot decode + frame rebuild.
-  GC,           ///< Mark-sweep collection cycles.
+  GC,           ///< Minor (nursery) and major (old-space) collections.
   CompileQueue, ///< Background compile job (worker-thread wall clock).
 };
 constexpr size_t NumPhases = 12;
@@ -209,7 +209,7 @@ public:
 
   /// Live tick from the runtime's call dispatch.
   void functionTick(const std::string &Name);
-  /// Folds \p Delta into \p Name's profile (Engine::publishMetrics).
+  /// Folds \p Delta into \p Name's profile (an Engine's teardown fold).
   void mergeFunction(const std::string &Name, const FunctionMetrics &Delta);
   std::map<std::string, FunctionMetrics> functions() const;
   /// Profiles sorted hottest first (by ticks, then compile time).

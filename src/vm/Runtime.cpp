@@ -66,11 +66,6 @@ void Runtime::setICWays(unsigned N) {
 }
 
 void Runtime::publishShapeMetrics() {
-  // Publish-once: the destructor path must not double-count a harness's
-  // explicit publish.
-  if (!metricsEnabled() || ShapeMetricsPublished)
-    return;
-  ShapeMetricsPublished = true;
   Metrics &M = metrics();
   M.addCounter("shape.shapes", Shapes.size());
   M.addCounter("ic.get.hits", TheICStats.GetHits);

@@ -131,9 +131,6 @@ public:
   };
   ICStats &icStats() { return TheICStats; }
   const ICStats &icStats() const { return TheICStats; }
-  /// Folds IC counters and the shape count into the global metrics
-  /// registry under "shape.*" / "ic.*" (no-op when metrics are off).
-  void publishShapeMetrics();
 
   Value &global(uint32_t Slot) {
     assert(Slot < Globals.size() && "bad global slot");
@@ -241,6 +238,10 @@ private:
   friend class Interpreter;
 
   void installGlobals();
+  /// Folds IC counters and the shape count into the global metrics
+  /// registry under "shape.*" / "ic.*", once, from the destructor when
+  /// metrics are enabled.
+  void publishShapeMetrics();
 
   Heap TheHeap;
   std::unique_ptr<Program> Prog;
@@ -254,7 +255,6 @@ private:
   bool ShapesOn = true;
   unsigned ICWays = SiteFeedback::MaxICWays;
   ICStats TheICStats;
-  bool ShapeMetricsPublished = false;
 
   bool HadError = false;
   std::string ErrorMsg;

@@ -258,48 +258,27 @@ RunCounts runCounted(const std::string &Source, const EngineKnobs &Knobs) {
   return R;
 }
 
-/// Every EngineStats count but the two wall-clock fields.
-constexpr std::pair<const char *, uint64_t EngineStats::*> StatCounts[] = {
-    {"Compilations", &EngineStats::Compilations},
-    {"Recompilations", &EngineStats::Recompilations},
-    {"SpecializedCompiles", &EngineStats::SpecializedCompiles},
-    {"GenericCompiles", &EngineStats::GenericCompiles},
-    {"Despecializations", &EngineStats::Despecializations},
-    {"CacheHits", &EngineStats::CacheHits},
-    {"ValueTierHits", &EngineStats::ValueTierHits},
-    {"TypeTierHits", &EngineStats::TypeTierHits},
-    {"TierDemotionsValueToType", &EngineStats::TierDemotionsValueToType},
-    {"TierDemotionsToGeneric", &EngineStats::TierDemotionsToGeneric},
-    {"GenericFallbacks", &EngineStats::GenericFallbacks},
-    {"Bailouts", &EngineStats::Bailouts},
-    {"OsrEntries", &EngineStats::OsrEntries},
-    {"NativeCalls", &EngineStats::NativeCalls},
-    {"InterpretedCalls", &EngineStats::InterpretedCalls},
-    {"FusedOps", &EngineStats::FusedOps},
-};
+/// The registry name of \p R's bailout count.
+std::string bailoutCountName(size_t R) {
+  return std::string("engine.bailouts.") +
+         bailoutReasonName(static_cast<BailoutReason>(R));
+}
 
 /// Names each count that differs between \p A and \p B.
 std::string countDiff(const RunCounts &A, const RunCounts &B) {
   std::string Diff;
-  auto Check = [&](const char *Name, uint64_t X, uint64_t Y) {
+  auto Check = [&](const std::string &Name, uint64_t X, uint64_t Y) {
     if (X != Y)
-      Diff += std::string(" ") + Name + " " + std::to_string(X) + " vs " +
+      Diff += " " + Name + " " + std::to_string(X) + " vs " +
               std::to_string(Y) + ";";
   };
-  for (auto [Name, Field] : StatCounts)
+  for (auto [Name, Field] : EngineStatCounts)
     Check(Name, A.Stats.*Field, B.Stats.*Field);
   for (size_t I = 0; I != NumBailoutReasons; ++I)
-    Check(bailoutReasonName(static_cast<BailoutReason>(I)),
-          A.Stats.BailoutsByReason[I], B.Stats.BailoutsByReason[I]);
-#define JITVS_CHECK_CACHE(F) Check("cache." #F, A.Cache.F, B.Cache.F)
-  JITVS_CHECK_CACHE(Hits);
-  JITVS_CHECK_CACHE(Misses);
-  JITVS_CHECK_CACHE(Insertions);
-  JITVS_CHECK_CACHE(Evictions);
-  JITVS_CHECK_CACHE(Invalidations);
-  JITVS_CHECK_CACHE(StaleGenerationDrops);
-  JITVS_CHECK_CACHE(RejectedOversize);
-#undef JITVS_CHECK_CACHE
+    Check(bailoutCountName(I), A.Stats.BailoutsByReason[I],
+          B.Stats.BailoutsByReason[I]);
+  for (auto [Name, Field] : CodeCacheStatCounts)
+    Check(Name, A.Cache.*Field, B.Cache.*Field);
   if (A.Output != B.Output)
     Diff += " output;";
   return Diff;
@@ -307,7 +286,7 @@ std::string countDiff(const RunCounts &A, const RunCounts &B) {
 
 /// Adds every count of \p S into \p Sum.
 void addCounts(EngineStats &Sum, const EngineStats &S) {
-  for (auto [Name, Field] : StatCounts)
+  for (auto [Name, Field] : EngineStatCounts)
     Sum.*Field += S.*Field;
   for (size_t I = 0; I != NumBailoutReasons; ++I)
     Sum.BailoutsByReason[I] += S.BailoutsByReason[I];
@@ -319,13 +298,11 @@ std::string describeCounts(const EngineStats &S) {
   auto Add = [&Out](const std::string &Name, uint64_t V) {
     Out += (Out.empty() ? "" : " ") + Name + " " + std::to_string(V);
   };
-  for (auto [Name, Field] : StatCounts)
+  for (auto [Name, Field] : EngineStatCounts)
     Add(Name, S.*Field);
   for (size_t I = 0; I != NumBailoutReasons; ++I)
     if (S.BailoutsByReason[I])
-      Add(std::string("bailouts.") +
-              bailoutReasonName(static_cast<BailoutReason>(I)),
-          S.BailoutsByReason[I]);
+      Add(bailoutCountName(I), S.BailoutsByReason[I]);
   return Out;
 }
 
@@ -400,21 +377,27 @@ TEST(AsyncEngine, DrainModeCountsMatchInlinePaper) {
   // moved into one table; any policy change that moves them shows here.
   PinnedCounts Pinned;
   Pinned.Suite =
-      "Compilations 93 Recompilations 33 SpecializedCompiles 61 "
-      "GenericCompiles 32 Despecializations 31 CacheHits 9160 "
-      "ValueTierHits 9160 TypeTierHits 0 TierDemotionsValueToType 0 "
-      "TierDemotionsToGeneric 0 GenericFallbacks 0 Bailouts 24 "
-      "OsrEntries 63 NativeCalls 98115 InterpretedCalls 185 FusedOps 479 "
-      "bailouts.int-overflow 12 bailouts.type-guard 12";
+      "engine.compilations 93 engine.recompilations 33 "
+      "engine.compiles.specialized 61 engine.compiles.generic 32 "
+      "engine.despecializations 31 engine.cache_hits 9160 "
+      "engine.cache_hits.value_tier 9160 engine.cache_hits.type_tier 0 "
+      "engine.tier_demotions.value_to_type 0 "
+      "engine.tier_demotions.to_generic 0 engine.generic_fallbacks 0 "
+      "engine.bailouts 24 engine.osr_entries 63 engine.calls.native 98115 "
+      "engine.calls.interpreted 185 engine.fused_ops 479 "
+      "engine.bailouts.int-overflow 12 engine.bailouts.type-guard 12";
   Pinned.Generated =
-      "Compilations 790 Recompilations 362 SpecializedCompiles 455 "
-      "GenericCompiles 335 Despecializations 261 CacheHits 3882 "
-      "ValueTierHits 3882 TypeTierHits 0 TierDemotionsValueToType 0 "
-      "TierDemotionsToGeneric 0 GenericFallbacks 0 Bailouts 753 "
-      "OsrEntries 709 NativeCalls 63055 InterpretedCalls 692 FusedOps 3412 "
-      "bailouts.int-overflow 116 bailouts.negative-zero 25 "
-      "bailouts.type-guard 332 bailouts.number-guard 139 "
-      "bailouts.bounds-check 118 bailouts.shape-guard 23";
+      "engine.compilations 790 engine.recompilations 362 "
+      "engine.compiles.specialized 455 engine.compiles.generic 335 "
+      "engine.despecializations 261 engine.cache_hits 3882 "
+      "engine.cache_hits.value_tier 3882 engine.cache_hits.type_tier 0 "
+      "engine.tier_demotions.value_to_type 0 "
+      "engine.tier_demotions.to_generic 0 engine.generic_fallbacks 0 "
+      "engine.bailouts 753 engine.osr_entries 709 engine.calls.native 63055 "
+      "engine.calls.interpreted 692 engine.fused_ops 3412 "
+      "engine.bailouts.int-overflow 116 engine.bailouts.negative-zero 25 "
+      "engine.bailouts.type-guard 332 engine.bailouts.number-guard 139 "
+      "engine.bailouts.bounds-check 118 engine.bailouts.shape-guard 23";
   expectDrainParity(TierPolicy::Paper, 0, Pinned);
 }
 

@@ -152,12 +152,12 @@ TEST(Policy, FunctionReportsClassifyOutcomes) {
     if (R.Name == "stable") {
       SawStable = true;
       EXPECT_TRUE(R.WasSpecialized);
-      EXPECT_FALSE(R.Despecialized);
+      EXPECT_EQ(R.Despecializations, 0u);
     }
     if (R.Name == "flaky") {
       SawFlaky = true;
       EXPECT_TRUE(R.WasSpecialized);
-      EXPECT_TRUE(R.Despecialized);
+      EXPECT_GT(R.Despecializations, 0u);
       EXPECT_GE(R.Compiles, 2u);
     }
     if (R.MinCodeSize != SIZE_MAX) {

@@ -5,14 +5,18 @@
 /// percentile interpolation, counter/sum saturation, the disabled-mask
 /// no-op guarantee, phase self-time attribution (nested spans must not
 /// double count), per-function profile merging, and a JSON snapshot
-/// round-trip through the support/Json.h parser.
+/// round-trip through the support/Json.h parser, and the engine's
+/// teardown fold: every per-function count sums to its aggregate, and
+/// the registry receives both under their published names.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "telemetry/Metrics.h"
 
+#include "jit/Engine.h"
 #include "support/Json.h"
 #include "vm/Runtime.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -314,6 +318,98 @@ TEST_F(MetricsTest, ScriptRunPopulatesPhasesAndTicks) {
   EXPECT_GE(metrics().phase(Phase::Interpret).Count, 1u);
   ASSERT_TRUE(metrics().functions().count("f"));
   EXPECT_EQ(metrics().functions().at("f").Ticks, 10u);
+}
+
+// --- End-to-end: an engine folds its counts in at teardown ------------------
+
+TEST_F(MetricsTest, FunctionDespecializationsCountEveryLoss) {
+  metrics().enable();
+  if (!metricsEnabled())
+    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
+  EngineKnobs Knobs;
+  Knobs.Policy = TierPolicy::Tiered;
+  Knobs.LoopThreshold = 1000000; // Keep top-level code interpreted.
+  Runtime RT;
+  {
+    Engine E(RT, OptConfig::all(), Knobs);
+    // One value, then new values of the same tag (value -> type), then
+    // a new tag (type -> generic): two losses of specialized code.
+    RT.evaluate("function f(x) { return x + 1; }"
+                "for (var i = 0; i < 50; i++) f(1);"
+                "for (var i = 0; i < 50; i++) f(i);"
+                "for (var i = 0; i < 50; i++) f('a' + i);");
+    ASSERT_FALSE(RT.hasError());
+    EXPECT_EQ(E.stats().Despecializations, 2u);
+  }
+  EXPECT_EQ(metrics().counter("engine.despecializations"), 2u);
+  EXPECT_EQ(metrics().functions().at("f").Despecializations, 2u);
+}
+
+/// On every suite program, each per-function count sums to the
+/// aggregate it splits; after teardown the registry holds the aggregates
+/// under their published names.
+TEST_F(MetricsTest, EngineCountStoresAgree) {
+  metrics().enable();
+  if (!metricsEnabled())
+    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
+  for (TierPolicy Policy : {TierPolicy::Paper, TierPolicy::Tiered}) {
+    SCOPED_TRACE(tierPolicyName(Policy));
+    metrics().reset();
+    EngineKnobs Knobs;
+    Knobs.Policy = Policy;
+    EngineStats Sum;
+    uint64_t Insertions = 0;
+    for (const Workload &W : allWorkloads()) {
+      SCOPED_TRACE(W.Name);
+      Runtime RT;
+      auto E = std::make_unique<Engine>(RT, OptConfig::all(), Knobs);
+      RT.evaluate(W.Source);
+      ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
+      const EngineStats &S = E->stats();
+      Engine::FunctionReport R;
+      for (const Engine::FunctionReport &F : E->functionReports()) {
+        R.Compiles += F.Compiles;
+        R.Bailouts += F.Bailouts;
+        R.ValueTierHits += F.ValueTierHits;
+        R.TypeTierHits += F.TypeTierHits;
+        R.TierTransitions += F.TierTransitions;
+        R.Despecializations += F.Despecializations;
+        R.NativeRuns += F.NativeRuns;
+      }
+      EXPECT_EQ(R.Compiles, S.Compilations);
+      EXPECT_EQ(R.Bailouts, S.Bailouts);
+      EXPECT_EQ(R.ValueTierHits, S.ValueTierHits);
+      EXPECT_EQ(R.TypeTierHits, S.TypeTierHits);
+      EXPECT_EQ(R.TierTransitions,
+                S.TierDemotionsValueToType + S.TierDemotionsToGeneric);
+      EXPECT_EQ(R.Despecializations, S.Despecializations);
+      EXPECT_EQ(R.NativeRuns, S.NativeCalls + S.OsrEntries);
+      Sum.SpecializedCompiles += S.SpecializedCompiles;
+      Sum.Despecializations += S.Despecializations;
+      for (size_t I = 0; I != NumBailoutReasons; ++I)
+        Sum.BailoutsByReason[I] += S.BailoutsByReason[I];
+      Insertions += E->codeCache()->stats().Insertions;
+      E.reset();
+    }
+    auto Reason = [&Sum](BailoutReason B) {
+      return Sum.BailoutsByReason[static_cast<size_t>(B)];
+    };
+    EXPECT_GT(Reason(BailoutReason::IntOverflow), 0u);
+    EXPECT_GT(Insertions, 0u);
+    EXPECT_EQ(metrics().counter("engine.compiles.specialized"),
+              Sum.SpecializedCompiles);
+    EXPECT_EQ(metrics().counter("engine.bailouts.int-overflow"),
+              Reason(BailoutReason::IntOverflow));
+    EXPECT_EQ(metrics().counter("engine.bailouts.type-guard"),
+              Reason(BailoutReason::TypeGuard));
+    EXPECT_EQ(metrics().counter("engine.code_cache.insertions"), Insertions);
+    uint64_t FunctionDespecializations = 0;
+    for (const auto &[Name, FM] : metrics().functions())
+      FunctionDespecializations += FM.Despecializations;
+    EXPECT_EQ(FunctionDespecializations, Sum.Despecializations);
+    EXPECT_EQ(metrics().counter("engine.despecializations"),
+              Sum.Despecializations);
+  }
 }
 
 } // namespace

@@ -64,7 +64,7 @@ TEST(TierPolicy, ValueMismatchDemotesToTypeTier) {
       continue;
     Saw = true;
     EXPECT_TRUE(R.WasSpecialized);
-    EXPECT_TRUE(R.Despecialized);
+    EXPECT_GT(R.Despecializations, 0u);
     EXPECT_EQ(R.Cause, DespecializeCause::ValueMismatch);
     EXPECT_GE(R.TypeTierHits, 50u);
   }
@@ -187,8 +187,13 @@ TEST(TierPolicy, HitSplitSumsToCacheHits) {
   EXPECT_EQ(S.ValueTierHits + S.TypeTierHits, S.CacheHits);
   EXPECT_GT(S.ValueTierHits, 0u); // g's stable arg set.
   EXPECT_GT(S.TypeTierHits, 0u);  // f after the demotion.
-  for (const Engine::FunctionReport &R : F.E.functionReports())
-    EXPECT_EQ(R.ValueTierHits + R.TypeTierHits, R.CacheHits);
+  uint64_t ValueHits = 0, TypeHits = 0;
+  for (const Engine::FunctionReport &R : F.E.functionReports()) {
+    ValueHits += R.ValueTierHits;
+    TypeHits += R.TypeTierHits;
+  }
+  EXPECT_EQ(ValueHits, S.ValueTierHits);
+  EXPECT_EQ(TypeHits, S.TypeTierHits);
 }
 
 TEST(TierPolicy, PaperModeCountsAllHitsAsValueTier) {
