@@ -7,7 +7,6 @@
 #include "mir/MIRBuilder.h"
 #include "native/Fusion.h"
 #include "mir/Verifier.h"
-#include "profiling/CallProfiler.h"
 #include "support/Timer.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Telemetry.h"
@@ -15,6 +14,7 @@
 #include "vm/Interpreter.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -72,11 +72,11 @@ uint64_t monotonicNowNs() {
 
 } // namespace
 
-/// Roots everything the engine keeps alive across GC: the signatures of
-/// every table entry (baked argument and OSR slot values), and the
-/// constant pools of every binary that is linked, retired-but-unreclaimed
-/// or being compiled. A compiling MIR graph is rooted separately via
-/// GraphRoots.
+/// Roots everything the engine keeps alive across GC: the values of the
+/// tiered policy's argument records, the signatures of every table entry
+/// (baked argument and OSR slot values), and the constant pools of every
+/// binary that is linked, retired-but-unreclaimed or being compiled. A
+/// compiling MIR graph is rooted separately via GraphRoots.
 class Engine::EngineRoots final : public RootSource {
 public:
   explicit EngineRoots(Engine &E) : E(E) { E.RT.heap().addRootSource(this); }
@@ -94,9 +94,13 @@ public:
       for (Value &V : Code.ConstPool)
         Visitor.visit(V);
     };
-    for (auto &[Info, FS] : E.States)
+    for (auto &[Info, FS] : E.States) {
       if (FS.Code)
         TracePool(*FS.Code);
+      for (ParamRecord &P : FS.Params)
+        for (Value &V : P.Values)
+          Visitor.visit(V);
+    }
     // Table entries: each signature's baked-in values and each body's
     // constant pool stay live for as long as the entry can be dispatched.
     E.Cache.forEachEntry([&](CodeCache::Entry &En) {
@@ -243,16 +247,34 @@ Engine::FuncState &Engine::state(FunctionInfo *Info) {
   return It->second;
 }
 
-std::vector<ParamTier> Engine::chooseTiers(FunctionInfo *Info,
-                                           size_t NumArgs) {
+void Engine::recordArgs(FuncState &FS, const Value *Args, size_t NumArgs) {
+  if (FS.Params.size() < NumArgs)
+    FS.Params.resize(NumArgs);
+  for (size_t I = 0; I != NumArgs; ++I) {
+    ParamRecord &P = FS.Params[I];
+    const Value &V = Args[I];
+    P.TagMask |= 1u << static_cast<uint32_t>(V.tag());
+    if (P.Saturated ||
+        std::any_of(P.Values.begin(), P.Values.end(), [&](const Value &Seen) {
+          return Seen.sameSpecializationValue(V);
+        }))
+      continue;
+    if (P.Values.size() < ValueStabilityMax) {
+      P.Values.push_back(V);
+    } else {
+      P.Saturated = true;
+      P.Values = {};
+    }
+  }
+}
+
+std::vector<ParamTier> Engine::chooseTiers(const FuncState &FS,
+                                           size_t NumArgs) const {
   std::vector<ParamTier> Tiers(NumArgs, ParamTier::Value);
-  if (Policy != TierPolicy::Tiered || !Profiler)
-    return Tiers;
-  std::vector<ParamStability> Stab = Profiler->paramStability(Info);
-  for (size_t I = 0; I != NumArgs && I != Stab.size(); ++I)
-    if (Stab[I].DistinctValues > ValueStabilityMax)
-      Tiers[I] = Stab[I].DistinctTags == 1 ? ParamTier::Type
-                                           : ParamTier::Generic;
+  for (size_t I = 0; I != NumArgs && I != FS.Params.size(); ++I)
+    if (FS.Params[I].Saturated)
+      Tiers[I] = std::popcount(FS.Params[I].TagMask) == 1 ? ParamTier::Type
+                                                          : ParamTier::Generic;
   return Tiers;
 }
 
@@ -866,8 +888,11 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
   if (FS.Code)
     return Run(FS.Code);
 
-  // A miss. A function without a binary waits for its call threshold,
-  // and decisions wait for an in-flight compile to install.
+  // A miss. The tiered policy records the arguments of the calls it has
+  // to decide on. A function without a binary waits for its call
+  // threshold, and decisions wait for an in-flight compile to install.
+  if (Policy == TierPolicy::Tiered)
+    recordArgs(FS, Args, NumArgs);
   size_t Held = Cache.entriesFor(Info);
   if (!Held && Info->CallCount < CallThreshold)
     return Interpret();
@@ -877,11 +902,11 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
   if (Specialize)
     Cache.noteMiss();
   if (Held < sigCap()) {
-    // Room for one more signature. A profile that shows nothing stable
+    // Room for one more signature. A record that shows nothing stable
     // skips the ladder and compiles generic.
     std::vector<ParamTier> Tiers;
     if (Specialize)
-      Tiers = chooseTiers(Info, NumArgs);
+      Tiers = chooseTiers(FS, NumArgs);
     return Compile(Specialize && !allGenericTiers(Tiers) ? &Tiers : nullptr);
   }
   if (keepsEntriesOnMiss()) {
@@ -984,7 +1009,7 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
     for (const NativeCode *Old : Replaced)
       Cache.remove(Info, Old, Reclaimer);
     if (Specialize && !Missed)
-      Tiers = chooseTiers(Info, Frame.OrigArgs.size());
+      Tiers = chooseTiers(FS, Frame.OrigArgs.size());
     if (!Specialize || allGenericTiers(Tiers)) {
       Code = submit(FS, osrTask(Frame, PC, nullptr));
     } else {

@@ -40,8 +40,6 @@
 
 namespace jitvs {
 
-class CallProfiler;
-
 /// How the engine specializes and reacts to specialization misses.
 enum class TierPolicy : uint8_t {
   /// The paper's Section 4 policy: specialize every parameter on its
@@ -151,6 +149,10 @@ struct EngineKnobs {
   uint32_t LoopThreshold = 100;
   uint32_t BailoutLimit = 12;
   uint32_t CacheDepth = 1;
+  /// Tiered policy: a parameter whose warm-up calls carried at most this
+  /// many distinct values starts at the value tier; more values but one
+  /// tag start it at the type tier, several tags at generic (see
+  /// Engine::chooseTiers). Env: JITVS_TIER_VALUE_MAX.
   uint32_t ValueStabilityMax = 1;
   /// Background compilation workers. 0 (the default) runs each compile
   /// inline on the calling thread; N >= 1 queues it for a worker while
@@ -220,17 +222,6 @@ public:
   /// settable via the environment: JITVS_TIER_POLICY=tiered|paper.
   void setTierPolicy(TierPolicy P) { Policy = P; }
   TierPolicy tierPolicy() const { return Policy; }
-
-  /// Tiered policy: a parameter slot whose profile shows at most this
-  /// many distinct values starts at the value tier; more values but a
-  /// single tag starts at the type tier; otherwise generic. Also settable
-  /// via JITVS_TIER_VALUE_MAX.
-  void setValueStabilityMax(uint32_t N) { ValueStabilityMax = N; }
-
-  /// Optional profile feed for the tiered policy's initial tier choice.
-  /// Without one, every parameter starts optimistically at Value and the
-  /// ladder demotes on misses. Not owned; must outlive the engine.
-  void setProfiler(const CallProfiler *P) { Profiler = P; }
 
   /// Post-regalloc macro-op fusion (default on; env: JITVS_FUSION=0|off
   /// disables). Applies to compiles after the call.
@@ -303,6 +294,18 @@ public:
                          const std::vector<ParamTier> *Tiers = nullptr);
 
 private:
+  /// Tiered policy: what one parameter slot carried on the calls that
+  /// reached the miss path. Holds up to ValueStabilityMax distinct values;
+  /// one more saturates the record and drops them, since the slot is
+  /// value-unstable from then on and need not keep those objects alive.
+  /// The values are traced (EngineRoots), so a moving collection cannot
+  /// make one object count as two.
+  struct ParamRecord {
+    uint32_t TagMask = 0; ///< Bit per ValueTag.
+    bool Saturated = false;
+    std::vector<Value> Values;
+  };
+
   struct FuncState {
     /// The generic body (entry or OSR); specialized ones live in Cache.
     /// Shared: in-flight executions (including recursive ones) keep the
@@ -319,6 +322,9 @@ private:
     /// background mode only); gates policy decisions and re-enqueueing
     /// until it installs.
     bool CompilePending = false;
+    /// Tiered policy: argument stability, one record per slot, the input
+    /// of chooseTiers. Empty under the paper policy.
+    std::vector<ParamRecord> Params;
     FunctionReport Report; ///< Reporting only; policy reads Compiles.
   };
 
@@ -374,10 +380,16 @@ private:
   /// Immutable whole-program feedback copy for one background build.
   std::shared_ptr<const FeedbackSnapshot> captureFeedback(FunctionInfo *Info);
 
-  /// Tiered policy: initial per-parameter tiers for \p Info, consulting
-  /// the profiler when attached (all-Value otherwise). Main-thread only
-  /// (reads the live profile tables); tasks carry the result.
-  std::vector<ParamTier> chooseTiers(FunctionInfo *Info, size_t NumArgs);
+  /// Tiered policy: adds one miss-path call's arguments to \p FS.Params.
+  void recordArgs(FuncState &FS, const Value *Args, size_t NumArgs);
+
+  /// The tiers a new specialized compile starts from: Value for a slot
+  /// whose record holds at most ValueStabilityMax values (or that was
+  /// never recorded), otherwise Type for one tag and Generic for
+  /// several. All-Value under the paper policy, which records nothing.
+  /// Main-thread only; tasks carry the result.
+  std::vector<ParamTier> chooseTiers(const FuncState &FS,
+                                     size_t NumArgs) const;
 
   /// Tiered policy: the demotion step. Computes the post-miss tier of
   /// every signature entry given the observed \p Args, records demotion
@@ -427,7 +439,6 @@ private:
   Executor Exec;
   std::unordered_map<FunctionInfo *, FuncState> States;
   EngineStats Stats;
-  const CallProfiler *Profiler = nullptr;
 
   // Seeded from EngineKnobs, which holds the defaults.
   uint32_t CallThreshold;

@@ -26,42 +26,6 @@ void CallProfiler::recordCall(FunctionInfo *Callee, const Value *Args,
     H *= 1099511628211ull;
   }
   P.ArgSetHashes.insert(H);
-
-  // Per-slot stability counters (the tier policy's input).
-  if (P.Params.size() < NumArgs)
-    P.Params.resize(NumArgs);
-  for (size_t I = 0; I != NumArgs; ++I) {
-    ParamStats &S = P.Params[I];
-    S.TagMask |= 1u << static_cast<uint32_t>(Args[I].tag());
-    if (S.ValuesSaturated)
-      continue;
-    uint64_t VH = Args[I].specializationHash();
-    if (S.ValueHashes.size() >= MaxTrackedValuesPerParam &&
-        !S.ValueHashes.count(VH))
-      S.ValuesSaturated = true;
-    else
-      S.ValueHashes.insert(VH);
-  }
-}
-
-std::vector<ParamStability>
-CallProfiler::paramStability(const FunctionInfo *Info) const {
-  std::vector<ParamStability> Out;
-  auto It = Profiles.find({CurrentUnit, Info});
-  if (It == Profiles.end())
-    return Out;
-  for (const ParamStats &S : It->second.Params) {
-    ParamStability PS;
-    PS.DistinctValues = static_cast<uint32_t>(S.ValueHashes.size()) +
-                        (S.ValuesSaturated ? 1 : 0);
-    uint32_t Mask = S.TagMask;
-    while (Mask) {
-      ++PS.DistinctTags;
-      Mask &= Mask - 1;
-    }
-    Out.push_back(PS);
-  }
-  return Out;
 }
 
 static FractionHistogram

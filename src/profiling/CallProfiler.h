@@ -45,25 +45,9 @@ struct TypeDistribution {
   std::string toTable() const;
 };
 
-/// Per-parameter stability facts, the input to the engine's tier policy
-/// (value -> type -> generic ladder): how many distinct values and how
-/// many distinct tags one argument slot has been observed to carry.
-struct ParamStability {
-  /// Distinct specialization values seen in this slot. Tracking is capped
-  /// (CallProfiler::MaxTrackedValuesPerParam); once more values than the
-  /// cap have been seen this saturates at cap + 1.
-  uint32_t DistinctValues = 0;
-  /// Distinct value tags seen in this slot (exact, never saturates).
-  uint32_t DistinctTags = 0;
-};
-
 /// Observes every user-function call through Runtime's CallObserver hook.
 class CallProfiler final : public CallObserver {
 public:
-  /// Per-parameter distinct-value tracking cap: beyond this many values a
-  /// slot is unambiguously value-unstable, so exact counting stops.
-  static constexpr uint32_t MaxTrackedValuesPerParam = 8;
-
   /// Starts a new profiling unit (one program/Runtime). Function
   /// identities are per-unit: fresh runtimes reuse heap addresses, so raw
   /// FunctionInfo pointers are only unique within a unit.
@@ -95,20 +79,7 @@ public:
   /// Function with the most distinct argument sets.
   std::pair<std::string, uint64_t> mostVaried() const;
 
-  /// Per-parameter stability of \p Info in the current unit. Index I
-  /// describes argument slot I. Empty when the function has not been
-  /// observed (callers should then assume nothing and stay optimistic).
-  /// Main-thread only: walks the live profile tables (the engine picks
-  /// tiers when it builds a compile task, never on a worker).
-  std::vector<ParamStability> paramStability(const FunctionInfo *Info) const;
-
 private:
-  struct ParamStats {
-    std::unordered_set<uint64_t> ValueHashes; ///< Capped.
-    uint32_t TagMask = 0; ///< Bit per ValueTag.
-    bool ValuesSaturated = false;
-  };
-
   struct FuncProfile {
     std::string Name;
     uint64_t Calls = 0;
@@ -117,8 +88,6 @@ private:
     /// function stays monomorphic).
     std::vector<ValueTag> FirstArgTags;
     bool FirstArgIsInt = false;
-    /// Per-argument-slot stability counters for the tier policy.
-    std::vector<ParamStats> Params;
   };
 
   std::map<std::pair<uint64_t, const FunctionInfo *>, FuncProfile> Profiles;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace jitvs;
@@ -172,6 +173,25 @@ TEST(FuzzSweep, FirstSeedsAgreeAcrossTheMatrix) {
         << "\n"
         << describeDivergence(R.Divergences[0], Seed, P.render());
   }
+}
+
+TEST(FuzzSweep, TieredCache2StartsSomeFirstCompilesBelowValueTier) {
+  // The column's ValueStabilityMax = 2 must reach the engine: some
+  // generated program's warm-up is value-unstable, so its first compile
+  // already sits on the type tier and hits there without any demotion.
+  std::vector<EngineSetup> M = defaultMatrix();
+  auto Col = std::find_if(M.begin(), M.end(), [](const EngineSetup &S) {
+    return S.Name == "tiered-cache2";
+  });
+  ASSERT_NE(Col, M.end());
+  unsigned BelowValueTier = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    RunOutcome O = runOnce(generateProgram(Seed).render(), *Col);
+    if (O.Stats.TypeTierHits > 0 && O.Stats.TierDemotionsValueToType == 0 &&
+        O.Stats.TierDemotionsToGeneric == 0)
+      ++BelowValueTier;
+  }
+  EXPECT_GE(BelowValueTier, 1u);
 }
 
 } // namespace

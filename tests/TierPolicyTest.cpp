@@ -3,14 +3,14 @@
 /// \file
 /// The adaptive value -> type -> generic ladder (DESIGN.md
 /// "Specialization tiers"): per-parameter demotion on misses, the
-/// generic fallback as the only path to NeverSpecialize, the
-/// profiler-driven initial tier choice, the cache-hit tier split, and
-/// differential runs against the paper policy and the interpreter.
+/// generic fallback as the only path to NeverSpecialize, the initial
+/// tier choice from the engine's own argument records, the cache-hit
+/// tier split, and differential runs against the paper policy and the
+/// interpreter.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "jit/Engine.h"
-#include "profiling/CallProfiler.h"
 #include "telemetry/Telemetry.h"
 #include "vm/Bytecode.h"
 #include "vm/Runtime.h"
@@ -244,8 +244,9 @@ TEST(TierPolicy, DifferentialFlippingClosure) {
     ASSERT_FALSE(RT.hasError()) << tierPolicyName(P);
     EXPECT_EQ(RT.output(), Ref.output()) << tierPolicyName(P);
     if (P == TierPolicy::Tiered) {
-      // The callback flip is a value miss on a Function-tagged slot.
-      EXPECT_GE(E.stats().TierDemotionsValueToType, 1u);
+      // Warm-up saw both callbacks (one Function tag), so the first
+      // compile already puts f on the type tier: no miss to demote.
+      EXPECT_EQ(E.stats().Despecializations, 0u);
       EXPECT_EQ(E.stats().GenericFallbacks, 0u);
       EXPECT_GT(E.stats().TypeTierHits, 0u);
     }
@@ -273,16 +274,13 @@ TEST(TierPolicy, DifferentialTypeFlip) {
   }
 }
 
-// --- Profiler-driven initial tier choice ---
+// --- Initial tier choice from the engine's argument records ---
 
-TEST(TierPolicy, ProfilerStartsUnstableParamAtTypeTier) {
+TEST(TierPolicy, StartsUnstableParamAtTypeTier) {
   Runtime RT;
-  CallProfiler Prof;
-  RT.setCallObserver(&Prof);
   Engine E(RT, OptConfig::all());
   E.setTierPolicy(TierPolicy::Tiered);
-  E.setProfiler(&Prof);
-  E.setCallThreshold(32); // Let the profiler see the value churn first.
+  E.setCallThreshold(32); // Let warm-up see the value churn first.
   E.setLoopThreshold(100000);
   RT.evaluate("function g(x) { return x + 1; }"
               "var s = 0;"
@@ -290,7 +288,7 @@ TEST(TierPolicy, ProfilerStartsUnstableParamAtTypeTier) {
               "print(s);");
   ASSERT_FALSE(RT.hasError());
   EXPECT_EQ(RT.output(), "200\n");
-  // The profile showed one tag but many values, so the first compile
+  // Warm-up showed one tag but many values, so the first compile
   // already sits on the type tier: no value baking, no demotions.
   EXPECT_EQ(E.stats().Despecializations, 0u);
   EXPECT_EQ(E.stats().TierDemotionsValueToType, 0u);
@@ -298,13 +296,10 @@ TEST(TierPolicy, ProfilerStartsUnstableParamAtTypeTier) {
   EXPECT_GT(E.stats().TypeTierHits, 100u);
 }
 
-TEST(TierPolicy, ProfilerKeepsStableParamAtValueTier) {
+TEST(TierPolicy, KeepsStableParamAtValueTier) {
   Runtime RT;
-  CallProfiler Prof;
-  RT.setCallObserver(&Prof);
   Engine E(RT, OptConfig::all());
   E.setTierPolicy(TierPolicy::Tiered);
-  E.setProfiler(&Prof);
   E.setCallThreshold(32);
   E.setLoopThreshold(100000);
   RT.evaluate("function g(x) { return x + 1; }"
@@ -318,13 +313,10 @@ TEST(TierPolicy, ProfilerKeepsStableParamAtValueTier) {
   EXPECT_GT(E.stats().ValueTierHits, 100u);
 }
 
-TEST(TierPolicy, ProfilerSkipsLadderForMixedTagParam) {
+TEST(TierPolicy, SkipsLadderForMixedTagParam) {
   Runtime RT;
-  CallProfiler Prof;
-  RT.setCallObserver(&Prof);
   Engine E(RT, OptConfig::all());
   E.setTierPolicy(TierPolicy::Tiered);
-  E.setProfiler(&Prof);
   E.setCallThreshold(32);
   E.setLoopThreshold(100000);
   RT.evaluate("function g(x) { return x + 1; }"
@@ -341,46 +333,72 @@ TEST(TierPolicy, ProfilerSkipsLadderForMixedTagParam) {
   EXPECT_EQ(E.stats().Despecializations, 0u);
 }
 
-// --- CallProfiler::paramStability unit coverage ---
-
-TEST(ParamStability, CountsDistinctValuesAndTagsPerSlot) {
-  CallProfiler P;
-  FunctionInfo FI;
-  FI.Name = "probe";
-  Value A[2] = {Value::int32(1), Value::int32(7)};
-  P.recordCall(&FI, A, 2);
-  Value B[2] = {Value::int32(1), Value::makeDouble(3.25)};
-  P.recordCall(&FI, B, 2);
-  Value C[2] = {Value::int32(2), Value::makeDouble(3.25)};
-  P.recordCall(&FI, C, 2);
-
-  std::vector<ParamStability> S = P.paramStability(&FI);
-  ASSERT_EQ(S.size(), 2u);
-  EXPECT_EQ(S[0].DistinctValues, 2u);
-  EXPECT_EQ(S[0].DistinctTags, 1u);
-  EXPECT_EQ(S[1].DistinctValues, 2u);
-  EXPECT_EQ(S[1].DistinctTags, 2u);
+/// Runs \p Src on a tiered engine (call threshold 8) with the given
+/// ValueStabilityMax; warm-up is the first seven calls.
+EngineStats runWithStabilityMax(uint32_t Max, const char *Src,
+                                const char *Expected) {
+  EngineKnobs K;
+  K.Policy = TierPolicy::Tiered;
+  K.CallThreshold = 8;
+  K.LoopThreshold = 100000;
+  K.ValueStabilityMax = Max;
+  Runtime RT;
+  Engine E(RT, OptConfig::all(), K);
+  RT.evaluate(Src);
+  EXPECT_FALSE(RT.hasError());
+  EXPECT_EQ(RT.output(), Expected);
+  return E.stats();
 }
 
-TEST(ParamStability, ValueTrackingSaturatesAtCap) {
-  CallProfiler P;
-  FunctionInfo FI;
-  FI.Name = "probe";
-  for (int I = 0; I != 50; ++I) {
-    Value V = Value::int32(I);
-    P.recordCall(&FI, &V, 1);
-  }
-  std::vector<ParamStability> S = P.paramStability(&FI);
-  ASSERT_EQ(S.size(), 1u);
-  // Saturates at cap + 1: "more than the cap", never grows further.
-  EXPECT_EQ(S[0].DistinctValues, CallProfiler::MaxTrackedValuesPerParam + 1);
-  EXPECT_EQ(S[0].DistinctTags, 1u);
+TEST(TierPolicy, ParamThatSawStabilityMaxValuesStartsAtValueTier) {
+  // Warm-up passes 1 then 2; every later call passes 2.
+  const char *Src = "function g(x) { return x + 1; }"
+                    "var s = 0;"
+                    "for (var i = 0; i < 200; i++) s = g(i < 3 ? 1 : 2);"
+                    "print(s);";
+  EngineStats S = runWithStabilityMax(2, Src, "3\n");
+  EXPECT_EQ(S.Despecializations, 0u);
+  EXPECT_EQ(S.TypeTierHits, 0u);
+  EXPECT_GT(S.ValueTierHits, 100u);
+  // The same warm-up is value-unstable under the default of one value.
+  S = runWithStabilityMax(1, Src, "3\n");
+  EXPECT_EQ(S.Despecializations, 0u);
+  EXPECT_EQ(S.ValueTierHits, 0u);
+  EXPECT_GT(S.TypeTierHits, 100u);
 }
 
-TEST(ParamStability, UnseenFunctionYieldsEmpty) {
-  CallProfiler P;
-  FunctionInfo FI;
-  EXPECT_TRUE(P.paramStability(&FI).empty());
+TEST(TierPolicy, ParamThatSawMoreThanStabilityMaxValuesStartsAtTypeTier) {
+  // Warm-up passes 1, 2 and 3; every later call passes 3.
+  EngineStats S = runWithStabilityMax(
+      2,
+      "function g(x) { return x + 1; }"
+      "var s = 0;"
+      "for (var i = 0; i < 200; i++) s = g(i < 2 ? 1 : i < 4 ? 2 : 3);"
+      "print(s);",
+      "4\n");
+  EXPECT_EQ(S.Despecializations, 0u);
+  EXPECT_EQ(S.TierDemotionsValueToType, 0u);
+  EXPECT_EQ(S.ValueTierHits, 0u);
+  EXPECT_GT(S.TypeTierHits, 100u);
+}
+
+TEST(TierPolicy, WarmUpObjectStaysOneValueAcrossMinorCollection) {
+  TieredFixture F;
+  F.RT.evaluate("function g(o) { return o.x; }"
+                "var obj = {x: 5};"
+                "g(obj); g(obj);"
+                "gc();" // Moves obj out of the nursery mid-warm-up.
+                "var s = 0;"
+                "for (var i = 0; i < 200; i++) s = s + g(obj);"
+                "print(s);");
+  ASSERT_FALSE(F.RT.hasError());
+  EXPECT_EQ(F.RT.output(), "1000\n");
+  ASSERT_GE(F.RT.heap().minorCount(), 1u);
+  // The record traces the object it holds, so the moved object is still
+  // the one value warm-up saw (a record of addresses would count two).
+  EXPECT_EQ(F.E.stats().Despecializations, 0u);
+  EXPECT_EQ(F.E.stats().TypeTierHits, 0u);
+  EXPECT_GT(F.E.stats().ValueTierHits, 100u);
 }
 
 } // namespace

@@ -22,7 +22,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "jit/Engine.h"
-#include "profiling/CallProfiler.h"
 #include "telemetry/Metrics.h"
 #include "vm/Runtime.h"
 #include "workloads/Workloads.h"
@@ -60,14 +59,10 @@ int usage(const char *Argv0) {
 bool runProgram(const std::string &Source, const char *Label, bool Jit,
                 TierPolicy Policy) {
   Runtime RT;
-  CallProfiler Profiler;
-  RT.setCallObserver(&Profiler);
   std::unique_ptr<Engine> E;
   if (Jit) {
-    OptConfig Config = OptConfig::all();
-    E = std::make_unique<Engine>(RT, Config);
+    E = std::make_unique<Engine>(RT, OptConfig::all());
     E->setTierPolicy(Policy);
-    E->setProfiler(&Profiler);
   }
   RT.evaluate(Source);
   if (RT.hasError()) {
