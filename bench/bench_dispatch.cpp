@@ -15,6 +15,13 @@
 /// goto and goto+fuse columns are the backend catching up with the
 /// "as fast as the hardware allows" north star.
 ///
+/// Two call kernels then measure the generic call path itself, under the
+/// default goto+fuse mode: a loop making 2M native-to-native calls to
+/// `add(a, b)`, and its twin with the body written inline. Their
+/// difference divided by the call count is the dispatch cost per call
+/// (Runtime::callValue, the engine's hook and table lookup, and
+/// Executor::run's frame set-up).
+///
 /// Env: JITVS_BENCH_REPS (repetitions), JITVS_DISPATCH/JITVS_FUSION are
 /// deliberately overridden per column here.
 ///
@@ -57,6 +64,24 @@ const char *const KernelNames[] = {
     "crypto-lite",         // V8
 };
 
+/// Calls the call kernel makes; the inline twin runs as many iterations.
+constexpr double CallKernelCalls = 2000000;
+const Workload CallKernels[] = {
+    {"call", "call-add-2M",
+     "function add(a, b) { return a + b; }"
+     "function loop(n) { var s = 0;"
+     "  for (var i = 0; i < n; i++) s = add(s, i);"
+     "  return s; }"
+     "loop(2000000);"},
+    {"call", "call-add-2M-inline",
+     "function loop(n) { var s = 0;"
+     "  for (var i = 0; i < n; i++) s = s + i;"
+     "  return s; }"
+     "loop(2000000);"},
+};
+constexpr size_t NumCallKernels = sizeof(CallKernels) / sizeof(CallKernels[0]);
+const Mode &DefaultMode = Modes[NumModes - 1]; // goto+fuse
+
 double runMode(const Workload &W, const Mode &M) {
   Runtime RT;
   std::unique_ptr<Engine> E;
@@ -95,10 +120,14 @@ int main() {
   // Interleaved sampling, same protocol as measureMatrix.
   std::vector<std::vector<std::vector<double>>> Samples(
       Kernels.size(), std::vector<std::vector<double>>(NumModes));
-  for (int R = 0; R < Reps; ++R)
+  std::vector<std::vector<double>> CallSamples(NumCallKernels);
+  for (int R = 0; R < Reps; ++R) {
     for (size_t K = 0; K != Kernels.size(); ++K)
       for (size_t M = 0; M != NumModes; ++M)
         Samples[K][M].push_back(runMode(Kernels[K], Modes[M]));
+    for (size_t K = 0; K != NumCallKernels; ++K)
+      CallSamples[K].push_back(runMode(CallKernels[K], DefaultMode));
+  }
 
   std::printf("  %-22s", "kernel");
   for (const Mode &M : Modes)
@@ -133,6 +162,19 @@ int main() {
               (GeoGoto - 1.0) * 100.0, (GeoFuse - 1.0) * 100.0);
   std::printf("Expected shape: goto+fuse > goto > switch on these kernels; "
               "interp trails by an order of magnitude.\n");
+
+  double CallMed[NumCallKernels];
+  std::printf("\nCall cost (%s, median ms)\n", DefaultMode.Name);
+  for (size_t K = 0; K != NumCallKernels; ++K) {
+    CallMed[K] = median(CallSamples[K]);
+    Report.addRow(CallKernels[K].Name, DefaultMode.Name, CallMed[K], "seconds",
+                  &CallSamples[K]);
+    std::printf("  %-22s %9.2f ms\n", CallKernels[K].Name, CallMed[K] * 1e3);
+  }
+  double CallNs = (CallMed[0] - CallMed[1]) / CallKernelCalls * 1e9;
+  std::printf("Dispatch cost per native-to-native call: %.0f ns\n", CallNs);
+
+  Report.addMetric("call_dispatch_ns", CallNs);
   Report.addMetric("geomean_goto_speedup_pct", (GeoGoto - 1.0) * 100.0);
   Report.addMetric("geomean_fuse_speedup_pct", (GeoFuse - 1.0) * 100.0);
   Report.write();

@@ -109,12 +109,27 @@ BailoutReason bailoutReasonForOp(NOp Op) {
 /// conservative visit after the referent was swept. It also converts a
 /// wrong stack map into a deterministic observable divergence under GC
 /// stress instead of silent heap corruption.
+///
+/// The frame owns no storage: it borrows the executor's buffer set for
+/// its native depth and gives it back (by leaving the depth) on every
+/// exit, ok, bailout or error alike. Entry clears what an earlier
+/// activation left in the set. Regs is refilled with undefined rather
+/// than resized, because a back-edge poll visits every register
+/// conservatively: a stale pointer from an earlier activation may
+/// already have been swept.
 struct NativeFrame final : public RootSource {
-  NativeFrame(Runtime &RT, size_t FrameSize) : RT(RT) {
-    Regs.resize(FrameSize);
+  NativeFrame(Runtime &RT, FrameBuffers &B, size_t &Depth, size_t FrameSize)
+      : RT(RT), Regs(B.Regs), ArgStage(B.ArgStage), Args(B.Args),
+        OsrSlots(B.OsrSlots), Depth(Depth) {
+    Regs.assign(FrameSize, Value::undefined());
+    ArgStage.clear();
+    ++Depth;
     RT.heap().addRootSource(this);
   }
-  ~NativeFrame() override { RT.heap().removeRootSource(this); }
+  ~NativeFrame() override {
+    RT.heap().removeRootSource(this);
+    --Depth;
+  }
 
   void traceRoots(GCVisitor &Visitor) override {
     if (CurMap) {
@@ -152,10 +167,11 @@ struct NativeFrame final : public RootSource {
   Environment *curEnv() const { return Env ? Env : ClosureEnv; }
 
   Runtime &RT;
-  std::vector<Value> Regs;
-  std::vector<Value> ArgStage;
-  std::vector<Value> Args;
-  std::vector<Value> OsrSlots;
+  std::vector<Value> &Regs;
+  std::vector<Value> &ArgStage;
+  std::vector<Value> &Args;
+  std::vector<Value> &OsrSlots;
+  size_t &Depth;
   Value ThisV;
   Environment *Env = nullptr;
   Environment *ClosureEnv = nullptr;
@@ -209,13 +225,14 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
   // deferred-reclamation list only frees code whose use count has
   // dropped to the list's own reference.
   MetricsPhaseTimer NativePhase(Phase::NativeExec);
-  NativeFrame F(RT, Code.FrameSize);
+  if (Depth == Buffers.size())
+    Buffers.emplace_back();
+  NativeFrame F(RT, Buffers[Depth], Depth, Code.FrameSize);
   F.ThisV = ThisV;
   F.ClosureEnv = ClosureEnv;
   F.Env = Env;
   F.Args.assign(Args, Args + NumArgs);
-  if (OsrSlots)
-    F.OsrSlots.assign(OsrSlots, OsrSlots + NumOsrSlots);
+  F.OsrSlots.assign(OsrSlots, OsrSlots + NumOsrSlots);
 
   FunctionInfo *Info = Code.Info;
   if (!AtOsr && Info->NumEnvSlots > 0) {

@@ -15,6 +15,7 @@
 #include "vm/GC.h"
 #include "vm/Object.h"
 
+#include <deque>
 #include <vector>
 
 namespace jitvs {
@@ -33,7 +34,11 @@ struct ExecResult {
   /// Native code offset of the failing guard: with the function identity
   /// this keys the per-site bailout counters.
   uint32_t BailPc = 0;
-  /// Live register file at the bailout point (FrameSize entries).
+  /// Live register file at the bailout point (FrameSize entries). A copy,
+  /// not a view of the frame's register buffer: that buffer belongs to
+  /// the executor's set for this native depth, and the resumed
+  /// interpreter's next native call takes the same set and overwrites
+  /// it. Bailouts are rare, so the copy costs nothing on the hot path.
   std::vector<Value> RegsAtBail;
   /// Environment the native frame was using at the bailout point (either
   /// adopted from the OSR frame or created by the native prologue).
@@ -44,6 +49,17 @@ struct ExecResult {
 enum class DispatchMode {
   Switch, ///< Portable while+switch loop (works on any compiler).
   Goto,   ///< Computed-goto threaded dispatch (GCC/Clang `&&label`).
+};
+
+/// The register file and value stacks of one native activation. The
+/// executor keeps one set per native call depth and lends it to each
+/// activation at that depth, so a warm call allocates nothing: the
+/// vectors keep their capacity from one activation to the next.
+struct FrameBuffers {
+  std::vector<Value> Regs;
+  std::vector<Value> Args;
+  std::vector<Value> ArgStage;
+  std::vector<Value> OsrSlots;
 };
 
 /// Executes native code frames.
@@ -74,6 +90,14 @@ public:
 private:
   Runtime &RT;
   DispatchMode Mode;
+  /// Buffer sets indexed by native call depth. The pool grows to the
+  /// deepest nesting seen (at most the runtime's MaxCallDepth), each set
+  /// to the largest frame run at its depth. A deque, so adding the set
+  /// for a new depth never moves the sets of activations still running.
+  std::deque<FrameBuffers> Buffers;
+  /// Native activations of this executor now running: the index of the
+  /// set the next activation takes.
+  size_t Depth = 0;
 };
 
 } // namespace jitvs
