@@ -70,7 +70,7 @@ StreamResult runStream(const std::string &Program, const EngineKnobs &Knobs) {
 
   std::vector<std::string> Names;
   for (int F = 0; F != NumFuncs; ++F)
-    Names.push_back("f" + std::to_string(F));
+    Names.push_back('f' + std::to_string(F));
 
   R.LatenciesNs.reserve(NumFuncs * CallsPerRound * Rounds);
   Timer Wall;

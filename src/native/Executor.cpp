@@ -7,6 +7,26 @@
 // on the current opcode's successor distribution instead of one shared
 // dispatch branch — the Ertl & Gregg result macro-op fusion builds on.
 //
+// That only holds if the compiler keeps the loop state in machine
+// registers and leaves each handler's dispatch where it is:
+//
+//  - The register file, constant pool and instruction array are raw
+//    pointers (R, Pool, Insns) bound once at entry. Each buffer keeps its
+//    size for the whole activation, so the pointers stay valid; going
+//    through the std::vector each time costs a load per operand.
+//  - Nothing in the loop may take PC's address. A `[&]` lambda that
+//    reads PC makes it escape, and then every handler stores PC to the
+//    stack and the dispatch reloads it. So Bail takes the failing
+//    instruction N and derives BailPc = N - Insns instead of PC - 1.
+//  - GCC's GCSE and cross-jumping merge the identical dispatch tails of
+//    the goto-mode handlers into one shared block ending in the single
+//    indirect jump, which is switch dispatch again. src/CMakeLists.txt
+//    compiles this file with -fno-gcse -fno-crossjumping under GCC (the
+//    GCC manual's advice for computed-goto interpreters).
+//
+// `objdump -d Executor.cpp.o | grep -c 'jmp *\*'` counts the indirect
+// jumps: about one per goto-mode handler when the threading holds.
+//
 //===----------------------------------------------------------------------===//
 
 #include "native/Executor.h"
@@ -242,21 +262,26 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
                      ParamSlot < F.Args.size() ? F.Args[ParamSlot]
                                                : Value::undefined());
   }
-  std::vector<Value> &R = F.Regs;
-  const std::vector<Value> &Pool = Code.ConstPool;
+  // Regs was sized at frame entry and ConstPool/Code never change, so
+  // the raw pointers hold for the whole activation (see the file header).
+  Value *const R = F.Regs.data();
+  const Value *const Pool = Code.ConstPool.data();
+  const NInstr *const Insns = Code.Code.data();
   uint32_t PC = AtOsr ? Code.OsrOffset : Code.EntryOffset;
   assert(PC != ~0u && "entering code without the requested entry point");
 
-  auto Bail = [&](uint32_t Snap, NOp Op,
-                  BailoutReason Reason = BailoutReason::Unknown) {
+  // Captures neither PC nor R: the failing instruction \p N names the
+  // bail site, so PC never escapes to memory.
+  auto Bail = [&F, Insns](const NInstr *N, uint32_t Snap, NOp Op,
+                          BailoutReason Reason = BailoutReason::Unknown) {
     ExecResult Res;
     Res.K = ExecResult::Bailout;
     Res.SnapshotId = Snap;
     Res.BailOp = Op;
     Res.BailReason =
         Reason != BailoutReason::Unknown ? Reason : bailoutReasonForOp(Op);
-    Res.BailPc = PC - 1; // PC already advanced past the failing guard.
-    Res.RegsAtBail = R;
+    Res.BailPc = static_cast<uint32_t>(N - Insns);
+    Res.RegsAtBail = F.Regs;
     Res.EnvAtBail = F.Env;
     return Res;
   };
@@ -283,7 +308,7 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
 #define JITVS_NEXT()                                                           \
   do {                                                                         \
     assert(PC < Code.Code.size() && "native pc out of range");                 \
-    N = &Code.Code[PC];                                                        \
+    N = &Insns[PC];                                                            \
     ++PC;                                                                      \
     goto *Table[static_cast<size_t>(N->Op)];                                   \
   } while (false)
@@ -306,7 +331,7 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
 #define JITVS_LOOP_BEGIN                                                       \
   while (true) {                                                               \
     assert(PC < Code.Code.size() && "native pc out of range");                 \
-    const NInstr *N = &Code.Code[PC];                                          \
+    const NInstr *N = &Insns[PC];                                              \
     ++PC;                                                                      \
     switch (N->Op) {
 #define JITVS_OP(Name) case NOp::Name:

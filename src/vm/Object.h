@@ -240,6 +240,28 @@ void traceObject(GCObject *Obj, GCVisitor &Visitor);
 void destroyObject(GCObject *Obj); ///< Destructor only (nursery storage).
 void deleteObject(GCObject *Obj);  ///< Destructor plus operator delete.
 
+// Value's GC-payload casts, declared in vm/Value.h: inline because the
+// native dispatch loop runs them on every element, slot and length access.
+JSString *Value::asString() const {
+  assert(isString() && "not a string");
+  return static_cast<JSString *>(Payload.Obj);
+}
+
+JSArray *Value::asArray() const {
+  assert(isArray() && "not an array");
+  return static_cast<JSArray *>(Payload.Obj);
+}
+
+JSObject *Value::asObject() const {
+  assert(isObject() && "not an object");
+  return static_cast<JSObject *>(Payload.Obj);
+}
+
+JSFunction *Value::asFunction() const {
+  assert(isFunction() && "not a function");
+  return static_cast<JSFunction *>(Payload.Obj);
+}
+
 } // namespace jitvs
 
 #endif // JITVS_VM_OBJECT_H

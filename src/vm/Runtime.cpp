@@ -715,7 +715,7 @@ class CallRoots final : public RootSource {
 public:
   CallRoots(Heap &H, const Value &Callee, const Value &ThisV,
             const Value *Args, size_t NumArgs)
-      : TheHeap(H), Callee(Callee), ThisV(ThisV),
+      : Callee(Callee), ThisV(ThisV), TheHeap(H),
         Args(const_cast<Value *>(Args)), NumArgs(NumArgs) {
     TheHeap.addRootSource(this);
   }

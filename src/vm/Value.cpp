@@ -34,14 +34,6 @@ const char *jitvs::valueTagName(ValueTag Tag) {
   JITVS_UNREACHABLE("bad ValueTag");
 }
 
-Value Value::number(double D) {
-  int32_t I = static_cast<int32_t>(D);
-  // Canonicalize to Int32 when exactly representable; keep -0.0 a double.
-  if (static_cast<double>(I) == D && !(D == 0.0 && std::signbit(D)))
-    return int32(I);
-  return makeDouble(D);
-}
-
 Value Value::string(JSString *S) {
   assert(S && "null string payload");
   Value V;
@@ -74,27 +66,7 @@ Value Value::function(JSFunction *F) {
   return V;
 }
 
-JSString *Value::asString() const {
-  assert(isString() && "not a string");
-  return static_cast<JSString *>(Payload.Obj);
-}
-
-JSArray *Value::asArray() const {
-  assert(isArray() && "not an array");
-  return static_cast<JSArray *>(Payload.Obj);
-}
-
-JSObject *Value::asObject() const {
-  assert(isObject() && "not an object");
-  return static_cast<JSObject *>(Payload.Obj);
-}
-
-JSFunction *Value::asFunction() const {
-  assert(isFunction() && "not a function");
-  return static_cast<JSFunction *>(Payload.Obj);
-}
-
-bool Value::toBoolean() const {
+bool Value::toBooleanSlow() const {
   switch (Tag) {
   case ValueTag::Undefined:
   case ValueTag::Null:

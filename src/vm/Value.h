@@ -15,6 +15,7 @@
 
 #include "support/Assert.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -75,7 +76,12 @@ public:
   }
   /// Boxes \p D as Int32 when exactly representable (and not -0), following
   /// the engine convention that canonical numbers prefer the Int32 tag.
-  static Value number(double D);
+  static Value number(double D) {
+    int32_t I = static_cast<int32_t>(D);
+    if (static_cast<double>(I) == D && !(D == 0.0 && std::signbit(D)))
+      return int32(I);
+    return makeDouble(D);
+  }
   static Value string(JSString *S);
   static Value array(JSArray *A);
   static Value object(JSObject *O);
@@ -111,10 +117,12 @@ public:
     assert(isNumber() && "not a number");
     return isInt32() ? static_cast<double>(Payload.I) : Payload.D;
   }
-  JSString *asString() const;
-  JSArray *asArray() const;
-  JSObject *asObject() const;
-  JSFunction *asFunction() const;
+  // Defined inline at the end of vm/Object.h, where the casts' target
+  // types are complete.
+  inline JSString *asString() const;
+  inline JSArray *asArray() const;
+  inline JSObject *asObject() const;
+  inline JSFunction *asFunction() const;
   GCObject *asGCThing() const {
     assert(isGCThing() && "not a GC thing");
     return Payload.Obj;
@@ -127,8 +135,15 @@ public:
   }
 
   /// JavaScript truthiness: false, +-0, NaN, "", null and undefined are
-  /// falsy; everything else is truthy.
-  bool toBoolean() const;
+  /// falsy; everything else is truthy. Booleans and Int32s, what branch
+  /// conditions almost always carry, are decided inline.
+  bool toBoolean() const {
+    if (Tag == ValueTag::Boolean)
+      return Payload.B;
+    if (Tag == ValueTag::Int32)
+      return Payload.I != 0;
+    return toBooleanSlow();
+  }
 
   /// Strict equality (===): same tag class and same payload; Int32 and
   /// Double compare numerically; strings compare by content; GC things by
@@ -150,6 +165,8 @@ public:
   std::string toDisplayString() const;
 
 private:
+  bool toBooleanSlow() const;
+
   ValueTag Tag;
   union {
     bool B;

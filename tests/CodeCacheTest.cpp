@@ -208,7 +208,7 @@ TEST(CodeCacheEngine, BudgetEvictionStaysWithinBytes) {
            std::to_string(F) + "; }\n";
   for (int Round = 0; Round < 6; ++Round)
     for (int F = 0; F < 16; ++F)
-      Src += "g" + std::to_string(F) + "(" + std::to_string(F) + ");\n";
+      Src += 'g' + std::to_string(F) + "(" + std::to_string(F) + ");\n";
   RT.evaluate(Src);
   ASSERT_FALSE(RT.hasError());
   const CodeCache *Cache = E.codeCache();
@@ -255,7 +255,7 @@ TEST(CodeCacheEngine, DrainModeEvictionUnderBackgroundCompiles) {
            std::to_string(F) + "; }\n";
   for (int Round = 0; Round < 8; ++Round)
     for (int F = 0; F < 8; ++F)
-      Src += "h" + std::to_string(F) + "(" + std::to_string(Round % 3) +
+      Src += 'h' + std::to_string(F) + "(" + std::to_string(Round % 3) +
              ");\n";
   RT.evaluate(Src);
   ASSERT_FALSE(RT.hasError());

@@ -183,7 +183,7 @@ TEST_F(MetricsTest, NestedPhasesAttributeSelfTimeExactly) {
   // Do a little real work so the spans have nonzero width.
   volatile uint64_t Sink = 0;
   for (int I = 0; I != 100000; ++I)
-    Sink += static_cast<uint64_t>(I) * 7;
+    Sink = Sink + static_cast<uint64_t>(I) * 7;
   metrics().exitPhase(Phase::Interpret);
   metrics().exitPhase(Phase::Script);
 

@@ -127,9 +127,9 @@ TEST(NativeFrameReuse, RecursionErrorUnwindsEveryFrame) {
       RT.callGlobal("deep", {Value::int32(0)});
       Out += RT.hasError() ? RT.errorMessage() : "no error";
       RT.clearError();
-      Out += " " + RT.callGlobal("sum", {Value::int32(40), Value::int32(2)})
+      Out += ' ' + RT.callGlobal("sum", {Value::int32(40), Value::int32(2)})
                        .toDisplayString();
-      Out += " " + RT.callGlobal("down", {Value::int32(300)}).toDisplayString();
+      Out += ' ' + RT.callGlobal("down", {Value::int32(300)}).toDisplayString();
       Out += RT.hasError() ? " " + RT.errorMessage() : "";
       Out += "\n";
     }

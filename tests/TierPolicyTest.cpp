@@ -89,9 +89,11 @@ TEST(TierPolicy, TypeMismatchFallsBackToGeneric) {
   EXPECT_EQ(F.E.stats().GenericCompiles, 1u);
   EXPECT_EQ(F.E.stats().TypeTierHits, 0u);
 
-  for (const Engine::FunctionReport &R : F.E.functionReports())
-    if (R.Name == "f")
+  for (const Engine::FunctionReport &R : F.E.functionReports()) {
+    if (R.Name == "f") {
       EXPECT_EQ(R.Cause, DespecializeCause::TypeMismatch);
+    }
+  }
 }
 
 TEST(TierPolicy, ValueDemotionDoesNotSetNeverSpecialize) {
@@ -130,9 +132,11 @@ TEST(TierPolicy, FullLadderDescent) {
   EXPECT_EQ(F.E.stats().GenericFallbacks, 1u);
   EXPECT_EQ(F.E.stats().SpecializedCompiles, 2u);
 
-  for (const Engine::FunctionReport &R : F.E.functionReports())
-    if (R.Name == "f")
+  for (const Engine::FunctionReport &R : F.E.functionReports()) {
+    if (R.Name == "f") {
       EXPECT_EQ(R.Cause, DespecializeCause::TypeMismatch);
+    }
+  }
 }
 
 TEST(TierPolicy, ArityChangeRecordsOneTransitionPerEntry) {
