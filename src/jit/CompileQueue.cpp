@@ -40,23 +40,6 @@ CompileQueue::enqueue(std::shared_ptr<CompileTask> Task) {
   std::unique_lock<std::mutex> Lock(Mu);
   if (Stop)
     return EnqueueResult::Full;
-  // Dedup/coalesce: one outstanding job per (function, entry/OSR) key.
-  // The newer request folds into the pending one; if it is more urgent,
-  // the pending job inherits the urgency (safe pre-pop: workers read
-  // task fields only after popping, which serializes on Mu).
-  for (auto &P : Pending) {
-    if (P->Info == Task->Info && P->IsOsr == Task->IsOsr) {
-      P->Priority = std::min(P->Priority, Task->Priority);
-      ++Stats.Coalesced;
-      return EnqueueResult::Coalesced;
-    }
-  }
-  for (auto &R : Running) {
-    if (R->Info == Task->Info && R->IsOsr == Task->IsOsr) {
-      ++Stats.Coalesced;
-      return EnqueueResult::Coalesced;
-    }
-  }
   if (Pending.size() >= Bound) {
     ++Stats.RejectedFull;
     return EnqueueResult::Full;

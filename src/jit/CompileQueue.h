@@ -2,14 +2,12 @@
 ///
 /// \file
 /// A bounded priority queue of CompileTasks drained by N worker threads.
-/// Tasks are keyed by (FunctionInfo, entry/OSR): enqueueing a key that is
-/// already pending coalesces into the existing job (promoting its
-/// priority if the new request is more urgent) instead of compiling the
-/// same function twice. Workers run the compile callback the engine
-/// supplies; results travel back through each task's atomic Result slot
-/// and are collected by the main thread via takeCompleted() at dispatch
-/// boundaries. hasCompleted() is a lock-free fast path so an idle pump
-/// costs one acquire load.
+/// The queue does not dedup: the engine's per-function CompilePending
+/// gate already keeps at most one task per function queued or running.
+/// Workers run the compile callback the engine supplies; results travel
+/// back through each task's atomic Result slot and are collected by the
+/// main thread via takeCompleted() at dispatch boundaries. hasCompleted()
+/// is a lock-free fast path so an idle pump costs one acquire load.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +40,8 @@ public:
   ~CompileQueue(); ///< shutdown() if the caller has not already.
 
   enum class EnqueueResult {
-    Queued,    ///< Accepted as a new job.
-    Coalesced, ///< Folded into a pending job with the same key.
-    Full,      ///< Backlog at the bound; rejected.
+    Queued, ///< Accepted as a new job.
+    Full,   ///< Backlog at the bound; rejected.
   };
   EnqueueResult enqueue(std::shared_ptr<CompileTask> Task);
 
@@ -68,7 +65,6 @@ public:
 
   struct Counters {
     uint64_t Enqueued = 0;
-    uint64_t Coalesced = 0;
     uint64_t RejectedFull = 0;
     uint64_t Compiled = 0;
     uint64_t DroppedAtShutdown = 0;

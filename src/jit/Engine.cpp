@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -61,13 +60,6 @@ void recordCacheEvent(TelemetryEventKind Kind, const FunctionInfo *Info,
   if (Detail)
     E.setDetail(Detail);
   telemetry().record(E);
-}
-
-uint64_t monotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 } // namespace
@@ -586,7 +578,7 @@ void Engine::enqueueCompileTask(FuncState &FS,
     Roots.addVector(Task->OsrSlots);
     RT.heap().minorCollect();
   }
-  if (Queue->enqueue(std::move(Task)) != CompileQueue::EnqueueResult::Full)
+  if (Queue->enqueue(std::move(Task)) == CompileQueue::EnqueueResult::Queued)
     FS.CompilePending = true;
   if (metricsEnabled())
     metrics().setGauge("engine.compile_queue.depth",
@@ -629,17 +621,8 @@ std::shared_ptr<NativeCode> Engine::installFinished(bool Wait,
 
 std::shared_ptr<NativeCode> Engine::installCompleted(CompileTask &Task) {
   CompileOutcome *Out = Task.Result.load(std::memory_order_acquire);
-  if (!Out)
-    return nullptr; // Worker died mid-task; nothing was published.
   FuncState &FS = state(Task.Info);
   FS.CompilePending = false;
-  // The runtime's helper side flags are read-and-clear feedback for the
-  // next interpreter op. Folding trips and clears them on the runtime it
-  // folds on, which is the main one only for inline compiles; clearing
-  // them at every install leaves the same flags behind wherever the
-  // compile ran.
-  (void)RT.tookIntOverflow();
-  (void)RT.tookOutOfBounds();
 
   // The compile's wall-clock counts as compile time whether or not the
   // result still installs — the work happened.
@@ -1064,7 +1047,6 @@ void Engine::publishMetrics() {
   if (Queue) {
     CompileQueue::Counters QC = Queue->counters();
     M.addCounter("engine.compile_queue.enqueued", QC.Enqueued);
-    M.addCounter("engine.compile_queue.coalesced", QC.Coalesced);
     M.addCounter("engine.compile_queue.rejected_full", QC.RejectedFull);
     M.addCounter("engine.compile_queue.compiled", QC.Compiled);
     M.addCounter("engine.compile_queue.dropped_at_shutdown",
@@ -1098,6 +1080,8 @@ NativeCode *Engine::compileNow(FunctionInfo *Info,
                                const std::vector<Value> *Args,
                                const std::vector<ParamTier> *Tiers) {
   FuncState &FS = state(Info);
+  if (FS.CompilePending)
+    return nullptr; // The gate is the queue's only dedup.
   std::vector<ParamTier> TaskTiers = Tiers ? *Tiers : std::vector<ParamTier>();
   return submit(FS, entryTask(Info, Args ? Args->data() : nullptr,
                               Args ? Args->size() : 0,

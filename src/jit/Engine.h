@@ -177,14 +177,6 @@ struct EngineKnobs {
   size_t CodeCacheBytes = 0;
 };
 
-/// Per-function code-size record for Figure 10 (the paper reports the
-/// smallest version each compilation mode produced per function).
-struct CodeSizeRecord {
-  std::string Name;
-  size_t MinSize = SIZE_MAX;
-  uint32_t Compiles = 0;
-};
-
 /// The JIT engine. Attach to a Runtime via Runtime::setHooks.
 class Engine final : public ExecutionHooks {
 public:
@@ -226,17 +218,11 @@ public:
   /// Post-regalloc macro-op fusion (default on; env: JITVS_FUSION=0|off
   /// disables). Applies to compiles after the call.
   void setFusion(bool On) { FusionEnabled = On; }
-  bool fusionEnabled() const { return FusionEnabled; }
 
   /// Dispatch-loop selection for this engine's executor (env default:
   /// JITVS_DISPATCH; see Executor::defaultDispatchMode).
   void setDispatchMode(DispatchMode M) { Exec.setDispatchMode(M); }
-  DispatchMode dispatchMode() const { return Exec.dispatchMode(); }
 
-  /// Off-thread compilation (fixed at construction; see
-  /// EngineKnobs::CompileThreads). 0 = every compile runs inline.
-  unsigned compileThreads() const { return CompileThreadCount; }
-  bool compileDrainMode() const { return CompileDrainMode; }
   /// Blocks until every queued compile has finished, then installs the
   /// results. The wait is accounted to EngineStats::CompileStallSeconds.
   /// No-op in synchronous mode.

@@ -78,7 +78,6 @@ public:
     Mode = M == DispatchMode::Goto && !hasComputedGoto() ? DispatchMode::Switch
                                                          : M;
   }
-  DispatchMode dispatchMode() const { return Mode; }
 
   /// Runs \p Code. Entering at the OSR offset requires \p OsrSlots (the
   /// interpreter frame slots) and the frame's environments.

@@ -350,9 +350,6 @@ std::optional<Value> jitvs::evaluatePureInstr(
     return std::nullopt;
   }
 
-  // Clear helper side flags tripped during compile-time evaluation.
-  (void)RT.tookIntOverflow();
-  (void)RT.tookOutOfBounds();
   return Result;
 }
 

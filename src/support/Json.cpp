@@ -45,6 +45,19 @@ void json::writeString(std::ostream &OS, const std::string &S) {
   OS << '"';
 }
 
+bool json::writeFile(const std::string &Path, const char *Who,
+                     const std::function<void(std::ostream &)> &Fn) {
+  std::ofstream OS(Path);
+  if (!OS) {
+    std::fprintf(stderr, "%s: cannot open '%s' for writing\n", Who,
+                 Path.c_str());
+    return false;
+  }
+  Fn(OS);
+  OS.flush();
+  return static_cast<bool>(OS);
+}
+
 namespace {
 
 /// Recursive-descent parser over a string. Tracks the offset for

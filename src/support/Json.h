@@ -1,10 +1,10 @@
 //===- support/Json.h - Minimal JSON writing and parsing --------*- C++ -*-===//
 ///
 /// \file
-/// Just enough JSON for the observability layer: an escaping writer
-/// shared by the exporters, and a small recursive-descent DOM parser
-/// used by the tests (BENCH_*.json schema validation, metrics snapshot
-/// round-trips) and the profiling CLI. Not a general-purpose library:
+/// Just enough JSON for the observability layer: an escaping writer and
+/// a file writer shared by the exporters, and a small recursive-descent
+/// DOM parser used by the tests (BENCH_*.json schema validation, metrics
+/// snapshot round-trips) and the profiling CLI. Not a general-purpose library:
 /// no comments, no trailing commas, numbers parsed as double.
 ///
 //===----------------------------------------------------------------------===//
@@ -12,6 +12,7 @@
 #ifndef JITVS_SUPPORT_JSON_H
 #define JITVS_SUPPORT_JSON_H
 
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -22,6 +23,12 @@ namespace jitvs::json {
 
 /// Writes \p S as a JSON string literal (quotes, escapes applied).
 void writeString(std::ostream &OS, const std::string &S);
+
+/// Opens \p Path and writes it with \p Fn. \returns false, after a
+/// "<Who>: cannot open" line on stderr, when the file cannot be opened,
+/// and false when a write failed.
+bool writeFile(const std::string &Path, const char *Who,
+               const std::function<void(std::ostream &)> &Fn);
 
 /// A parsed JSON document node.
 struct Value {

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// A tiny monotonic stopwatch used by the benchmark harnesses and by the
-/// JIT engine's compile-time accounting.
+/// JIT engine's compile-time accounting, and the monotonic nanosecond
+/// clock the observability layer stamps events and spans with.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -10,6 +11,7 @@
 #define JITVS_SUPPORT_TIMER_H
 
 #include <chrono>
+#include <cstdint>
 
 namespace jitvs {
 
@@ -30,6 +32,14 @@ private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;
 };
+
+/// Nanoseconds on the monotonic clock (arbitrary epoch).
+inline uint64_t monotonicNowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 } // namespace jitvs
 

@@ -3,15 +3,13 @@
 #include "telemetry/Metrics.h"
 
 #include "support/Json.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -119,29 +117,12 @@ uint64_t LogHistogram::percentile(double P) const {
 // Metrics registry
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-uint64_t monotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
-
 Metrics &Metrics::instance() {
   static Metrics M;
   return M;
 }
 
-void Metrics::enable(bool On) {
-#if JITVS_TELEMETRY_ENABLED
-  metrics_detail::Enabled = On;
-#else
-  (void)On;
-#endif
-}
+void Metrics::enable(bool On) { metrics_detail::Enabled = On; }
 
 namespace {
 
@@ -510,30 +491,15 @@ void Metrics::writePrometheus(std::ostream &OS) const {
   }
 }
 
-namespace {
-
-bool writeToFile(const std::string &Path,
-                 const std::function<void(std::ostream &)> &Fn) {
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "jitvs metrics: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  Fn(OS);
-  OS.flush();
-  return static_cast<bool>(OS);
-}
-
-} // namespace
-
 bool Metrics::writeJsonFile(const std::string &Path) const {
-  return writeToFile(Path, [this](std::ostream &OS) { writeJson(OS); });
+  return json::writeFile(Path, "jitvs metrics",
+                         [this](std::ostream &OS) { writeJson(OS); });
 }
 
 bool Metrics::writePrometheusFile(const std::string &Path) const {
-  return writeToFile(Path,
-                     [this](std::ostream &OS) { writePrometheus(OS); });
+  return json::writeFile(Path, "jitvs metrics", [this](std::ostream &OS) {
+    writePrometheus(OS);
+  });
 }
 
 // --- Environment activation -------------------------------------------------
@@ -552,7 +518,6 @@ bool endsWith(const char *S, const char *Suffix) {
 
 struct MetricsEnvInit {
   MetricsEnvInit() {
-#if JITVS_TELEMETRY_ENABLED
     if (const char *On = std::getenv("JITVS_METRICS"))
       if (std::strcmp(On, "0") != 0 && std::strcmp(On, "off") != 0)
         Metrics::instance().enable();
@@ -577,7 +542,6 @@ struct MetricsEnvInit {
                        Path);
       });
     }
-#endif
   }
 };
 

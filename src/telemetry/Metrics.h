@@ -24,7 +24,7 @@
 /// Cost model: identical to Telemetry.h — every instrumentation site is
 /// guarded by `metricsEnabled()`, a single load-and-test of a global
 /// flag, so the disabled-by-default cost is one predictable branch per
-/// site. Building with -DJITVS_TELEMETRY_ENABLED=0 folds even that away.
+/// site.
 ///
 /// Activation (either works, both compose):
 ///  - environment: `JITVS_METRICS=1` collects; `JITVS_STATS=<path|->`
@@ -49,11 +49,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-/// Shares the telemetry compile-time gate: 0 folds every site away.
-#ifndef JITVS_TELEMETRY_ENABLED
-#define JITVS_TELEMETRY_ENABLED 1
-#endif
 
 namespace jitvs {
 
@@ -126,13 +121,7 @@ extern bool Enabled;
 } // namespace metrics_detail
 
 /// The hot-path gate: one load + test. Call before touching the registry.
-inline bool metricsEnabled() {
-#if JITVS_TELEMETRY_ENABLED
-  return metrics_detail::Enabled;
-#else
-  return false;
-#endif
-}
+inline bool metricsEnabled() { return metrics_detail::Enabled; }
 
 /// The process-global metrics registry.
 class Metrics {

@@ -2,12 +2,12 @@
 
 #include "telemetry/Telemetry.h"
 
+#include "support/Json.h"
+#include "support/Timer.h"
+
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <functional>
 #include <ostream>
 
 using namespace jitvs;
@@ -127,47 +127,6 @@ uint32_t jitvs::telemetryEventCategory(TelemetryEventKind K) {
 }
 
 namespace {
-
-uint64_t monotonicNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void writeJsonString(std::ostream &OS, const char *S) {
-  OS << '"';
-  for (; *S; ++S) {
-    unsigned char C = static_cast<unsigned char>(*S);
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << static_cast<char>(C);
-      }
-    }
-  }
-  OS << '"';
-}
 
 bool isSpanKind(TelemetryEventKind K) {
   switch (K) {
@@ -348,24 +307,24 @@ void Telemetry::writeJson(std::ostream &OS) const {
       OS << ',';
     First = false;
     OS << "{\"kind\":";
-    writeJsonString(OS, telemetryEventKindName(E.Kind));
+    json::writeString(OS, telemetryEventKindName(E.Kind));
     OS << ",\"cat\":";
-    writeJsonString(OS,
+    json::writeString(OS,
                     telemetryCategoryName(telemetryEventCategory(E.Kind)));
     OS << ",\"tNs\":" << E.TimeNs;
     if (E.DurNs)
       OS << ",\"durNs\":" << E.DurNs;
     if (E.Func[0]) {
       OS << ",\"func\":";
-      writeJsonString(OS, E.Func);
+      json::writeString(OS, E.Func);
     }
     if (E.Detail[0]) {
       OS << ",\"detail\":";
-      writeJsonString(OS, E.Detail);
+      json::writeString(OS, E.Detail);
     }
     if (E.Kind == TelemetryEventKind::Bailout) {
       OS << ",\"reason\":";
-      writeJsonString(OS, bailoutReasonName(E.Reason));
+      json::writeString(OS, bailoutReasonName(E.Reason));
     }
     OS << ",\"a\":" << E.A << ",\"b\":" << E.B << ",\"c\":" << E.C
        << ",\"d\":" << E.D << '}';
@@ -377,7 +336,7 @@ void Telemetry::writeJson(std::ostream &OS) const {
       OS << ',';
     First = false;
     OS << "{\"func\":";
-    writeJsonString(OS, S.Func.c_str());
+    json::writeString(OS, S.Func);
     OS << ",\"nativePc\":" << S.NativePc
        << ",\"bytecodePc\":" << S.BytecodePc << ",\"total\":" << S.Total
        << ",\"byReason\":{";
@@ -388,7 +347,7 @@ void Telemetry::writeJson(std::ostream &OS) const {
       if (!FirstR)
         OS << ',';
       FirstR = false;
-      writeJsonString(OS,
+      json::writeString(OS,
                       bailoutReasonName(static_cast<BailoutReason>(R)));
       OS << ':' << S.ByReason[R];
     }
@@ -418,9 +377,9 @@ void Telemetry::writeChromeTrace(std::ostream &OS) const {
       OS << ',';
     First = false;
     OS << "{\"name\":";
-    writeJsonString(OS, Name);
+    json::writeString(OS, Name);
     OS << ",\"cat\":";
-    writeJsonString(OS,
+    json::writeString(OS,
                     telemetryCategoryName(telemetryEventCategory(E.Kind)));
     OS << ",\"pid\":1,\"tid\":1,\"ts\":";
     // Events are stamped when recorded, i.e. at span *end*; Chrome wants
@@ -463,10 +422,10 @@ void Telemetry::writeChromeTrace(std::ostream &OS) const {
       if (!FirstA)
         OS << ',';
       FirstA = false;
-      writeJsonString(OS, K);
+      json::writeString(OS, K);
       OS << ':';
       if (Quote)
-        writeJsonString(OS, V.c_str());
+        json::writeString(OS, V);
       else
         OS << V;
     };
@@ -511,30 +470,15 @@ void Telemetry::writeChromeTrace(std::ostream &OS) const {
   OS << "]}";
 }
 
-namespace {
-
-bool writeFile(const std::string &Path,
-               const std::function<void(std::ostream &)> &Fn) {
-  std::ofstream OS(Path);
-  if (!OS) {
-    std::fprintf(stderr, "jitvs telemetry: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return false;
-  }
-  Fn(OS);
-  OS.flush();
-  return static_cast<bool>(OS);
-}
-
-} // namespace
-
 bool Telemetry::writeJsonFile(const std::string &Path) const {
-  return writeFile(Path, [this](std::ostream &OS) { writeJson(OS); });
+  return json::writeFile(Path, "jitvs telemetry",
+                         [this](std::ostream &OS) { writeJson(OS); });
 }
 
 bool Telemetry::writeChromeTraceFile(const std::string &Path) const {
-  return writeFile(Path,
-                   [this](std::ostream &OS) { writeChromeTrace(OS); });
+  return json::writeFile(Path, "jitvs telemetry", [this](std::ostream &OS) {
+    writeChromeTrace(OS);
+  });
 }
 
 // --- Environment activation -------------------------------------------------
@@ -547,7 +491,6 @@ namespace {
 
 struct TelemetryEnvInit {
   TelemetryEnvInit() {
-#if JITVS_TELEMETRY_ENABLED
     Telemetry &T = Telemetry::instance();
     if (const char *SpewSpec = std::getenv("JITVS_SPEW")) {
       std::vector<std::string> Unknown;
@@ -580,7 +523,6 @@ struct TelemetryEnvInit {
                          "jitvs telemetry: JSON written to %s\n", Path);
       });
     }
-#endif
   }
 };
 

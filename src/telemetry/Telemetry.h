@@ -11,7 +11,6 @@
 /// Cost model: every instrumentation site is guarded by
 /// `telemetryEnabled(category)` — a single load-and-test of a global mask
 /// — so the disabled-by-default cost is one predictable branch per event.
-/// Building with -DJITVS_TELEMETRY_ENABLED=0 folds even that branch away.
 ///
 /// Activation (either works, both compose):
 ///  - environment: `JITVS_SPEW=compile,bailout` echoes matching events to
@@ -40,11 +39,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-/// Compile-time gate: 0 compiles every instrumentation branch away.
-#ifndef JITVS_TELEMETRY_ENABLED
-#define JITVS_TELEMETRY_ENABLED 1
-#endif
 
 namespace jitvs {
 
@@ -131,12 +125,7 @@ extern uint32_t ActiveMask;
 
 /// The hot-path gate: one load + test. Call before building an event.
 inline bool telemetryEnabled(uint32_t Category) {
-#if JITVS_TELEMETRY_ENABLED
   return (telemetry_detail::ActiveMask & Category) != 0;
-#else
-  (void)Category;
-  return false;
-#endif
 }
 
 /// The process-global event recorder.

@@ -77,6 +77,13 @@ Value Interpreter::execute(InterpFrame &Frame) {
   auto Feedback1 = [Info](uint32_t SitePC, const Value &A) {
     Info->Feedback.at(SitePC).A.add(A.tag());
   };
+  // Records an int32 overflow at an Add/Sub/Mul site: the helpers turn
+  // two Int32 operands into a non-Int32 result exactly then.
+  auto FeedbackOverflow = [Info](uint32_t SitePC, const Value &A,
+                                 const Value &B, const Value &R) {
+    if (A.isInt32() && B.isInt32() && !R.isInt32())
+      Info->Feedback.at(SitePC).SawIntOverflow = true;
+  };
 
   while (true) {
     if (RT.hasError())
@@ -158,8 +165,7 @@ Value Interpreter::execute(InterpFrame &Frame) {
       Value B = Pop(), A = Pop();
       Feedback2(OpPC, A, B);
       Value R = RT.genericAdd(A, B);
-      if (RT.tookIntOverflow())
-        Info->Feedback.at(OpPC).SawIntOverflow = true;
+      FeedbackOverflow(OpPC, A, B, R);
       Push(R);
       break;
     }
@@ -167,8 +173,7 @@ Value Interpreter::execute(InterpFrame &Frame) {
       Value B = Pop(), A = Pop();
       Feedback2(OpPC, A, B);
       Value R = RT.genericSub(A, B);
-      if (RT.tookIntOverflow())
-        Info->Feedback.at(OpPC).SawIntOverflow = true;
+      FeedbackOverflow(OpPC, A, B, R);
       Push(R);
       break;
     }
@@ -176,8 +181,7 @@ Value Interpreter::execute(InterpFrame &Frame) {
       Value B = Pop(), A = Pop();
       Feedback2(OpPC, A, B);
       Value R = RT.genericMul(A, B);
-      if (RT.tookIntOverflow())
-        Info->Feedback.at(OpPC).SawIntOverflow = true;
+      FeedbackOverflow(OpPC, A, B, R);
       Push(R);
       break;
     }
@@ -420,19 +424,15 @@ Value Interpreter::execute(InterpFrame &Frame) {
     case Op::GetElem: {
       Value Index = Pop(), Obj = Pop();
       Feedback2(OpPC, Obj, Index);
-      Value R = RT.genericGetElem(Obj, Index);
-      if (RT.tookOutOfBounds())
-        Info->Feedback.at(OpPC).SawOutOfBounds = true;
-      Push(R);
+      Push(RT.genericGetElem(Obj, Index,
+                             &Info->Feedback.at(OpPC).SawOutOfBounds));
       break;
     }
     case Op::SetElem: {
       Value V = Pop(), Index = Pop(), Obj = Pop();
       Feedback2(OpPC, Obj, Index);
-      Value R = RT.genericSetElem(Obj, Index, V);
-      if (RT.tookOutOfBounds())
-        Info->Feedback.at(OpPC).SawOutOfBounds = true;
-      Push(R);
+      Push(RT.genericSetElem(Obj, Index, V,
+                             &Info->Feedback.at(OpPC).SawOutOfBounds));
       break;
     }
     case Op::GetProp: {

@@ -164,7 +164,6 @@ Value Runtime::genericAdd(const Value &A, const Value &B) {
     int32_t R;
     if (!__builtin_add_overflow(A.asInt32(), B.asInt32(), &R))
       return Value::int32(R);
-    IntOverflowFlag = true;
     return Value::makeDouble(static_cast<double>(A.asInt32()) +
                              static_cast<double>(B.asInt32()));
   }
@@ -181,7 +180,6 @@ Value Runtime::genericSub(const Value &A, const Value &B) {
     int32_t R;
     if (!__builtin_sub_overflow(A.asInt32(), B.asInt32(), &R))
       return Value::int32(R);
-    IntOverflowFlag = true;
     return Value::makeDouble(static_cast<double>(A.asInt32()) -
                              static_cast<double>(B.asInt32()));
   }
@@ -196,7 +194,6 @@ Value Runtime::genericMul(const Value &A, const Value &B) {
       if (R != 0 || (A.asInt32() >= 0 && B.asInt32() >= 0))
         return Value::int32(R);
     }
-    IntOverflowFlag = true;
     return Value::makeDouble(static_cast<double>(A.asInt32()) *
                              static_cast<double>(B.asInt32()));
   }
@@ -300,13 +297,15 @@ static int64_t asElementIndex(const Value &V) {
   return -1;
 }
 
-Value Runtime::genericGetElem(const Value &Obj, const Value &Index) {
+Value Runtime::genericGetElem(const Value &Obj, const Value &Index,
+                              bool *OutOfBounds) {
   switch (Obj.tag()) {
   case ValueTag::Array: {
     JSArray *A = Obj.asArray();
     int64_t I = asElementIndex(Index);
     if (I < 0 || static_cast<size_t>(I) >= A->length()) {
-      OutOfBoundsFlag = true;
+      if (OutOfBounds)
+        *OutOfBounds = true;
       return Value::undefined();
     }
     return A->getDense(static_cast<size_t>(I));
@@ -315,7 +314,8 @@ Value Runtime::genericGetElem(const Value &Obj, const Value &Index) {
     JSString *S = Obj.asString();
     int64_t I = asElementIndex(Index);
     if (I < 0 || static_cast<size_t>(I) >= S->length()) {
-      OutOfBoundsFlag = true;
+      if (OutOfBounds)
+        *OutOfBounds = true;
       return Value::undefined();
     }
     return newStringValue(std::string(1, S->str()[static_cast<size_t>(I)]));
@@ -335,17 +335,15 @@ Value Runtime::genericGetElem(const Value &Obj, const Value &Index) {
 }
 
 Value Runtime::genericSetElem(const Value &Obj, const Value &Index,
-                              const Value &V) {
+                              const Value &V, bool *OutOfBounds) {
   switch (Obj.tag()) {
   case ValueTag::Array: {
     JSArray *A = Obj.asArray();
     int64_t I = asElementIndex(Index);
-    if (I < 0) {
-      OutOfBoundsFlag = true;
+    if (OutOfBounds && (I < 0 || static_cast<size_t>(I) >= A->length()))
+      *OutOfBounds = true;
+    if (I < 0)
       return V; // Negative / non-index keys on arrays are ignored.
-    }
-    if (static_cast<size_t>(I) >= A->length())
-      OutOfBoundsFlag = true;
     A->setElement(I, V);
     TheHeap.writeBarrier(A, V);
     return V;

@@ -180,6 +180,9 @@ public:
 
   // --- Generic operation helpers (shared by interpreter and native) ---
   // Each reports errors through fail(); results are undefined on error.
+  /// On two Int32 operands, Add/Sub/Mul return an Int32 unless the int32
+  /// result overflowed (or, for Mul, is -0): the interpreter's overflow
+  /// feedback relies on that.
   Value genericAdd(const Value &A, const Value &B);
   Value genericSub(const Value &A, const Value &B);
   Value genericMul(const Value &A, const Value &B);
@@ -191,28 +194,18 @@ public:
   bool genericLess(const Value &A, const Value &B);      ///< A < B
   bool genericLessEq(const Value &A, const Value &B);    ///< A <= B
   bool genericLooseEquals(const Value &A, const Value &B);
-  Value genericGetElem(const Value &Obj, const Value &Index);
-  Value genericSetElem(const Value &Obj, const Value &Index, const Value &V);
+  /// Element access. An out-of-bounds index, or a store that grows the
+  /// array, sets \p *OutOfBounds when given (the interpreter's site
+  /// feedback); other callers pass nothing and record nothing.
+  Value genericGetElem(const Value &Obj, const Value &Index,
+                       bool *OutOfBounds = nullptr);
+  Value genericSetElem(const Value &Obj, const Value &Index, const Value &V,
+                       bool *OutOfBounds = nullptr);
   Value genericGetProp(const Value &Obj, uint32_t NameId);
   Value genericSetProp(const Value &Obj, uint32_t NameId, const Value &V);
   Value callMethod(const Value &Recv, uint32_t NameId, const Value *Args,
                    size_t NumArgs);
   Value typeOfValue(const Value &V);
-
-  /// Read-and-clear: last int32 arithmetic helper overflowed into a
-  /// double result (feedback for type specialization).
-  bool tookIntOverflow() {
-    bool F = IntOverflowFlag;
-    IntOverflowFlag = false;
-    return F;
-  }
-  /// Read-and-clear: last element access was out of bounds or grew the
-  /// array (feedback telling the JIT to avoid the in-bounds fast path).
-  bool tookOutOfBounds() {
-    bool F = OutOfBoundsFlag;
-    OutOfBoundsFlag = false;
-    return F;
-  }
 
   /// ECMAScript-style ToNumber on our value subset.
   static double toNumber(const Value &V);
@@ -270,9 +263,6 @@ private:
   uint64_t NumCalls = 0;
 
   uint32_t LengthId = ~0u;
-
-  bool IntOverflowFlag = false;
-  bool OutOfBoundsFlag = false;
 
   /// Values the runtime itself must keep alive (builtin functions and
   /// container objects).

@@ -1,9 +1,9 @@
 //===- tests/CompileQueueTest.cpp - Background compiler unit tests --------===//
 ///
 /// \file
-/// The off-thread compilation pipeline: queue dedup/coalescing and
-/// priority ordering, shutdown with jobs still pending, cross-thread
-/// result publication through the atomic Result slot, deferred code
+/// The off-thread compilation pipeline: queue priority and FIFO
+/// ordering, shutdown with jobs still pending, cross-thread result
+/// publication through the atomic Result slot, deferred code
 /// reclamation, and the engine-level drain mode, whose counts must equal
 /// the inline compiles' on every program.
 ///
@@ -53,8 +53,8 @@ struct Gate {
   }
 };
 
-TEST(CompileQueue, DedupCoalescesAndPromotesPriority) {
-  FunctionInfo Gatekeeper, A, B, C;
+TEST(CompileQueue, PopsByPriorityThenFifo) {
+  FunctionInfo Gatekeeper, A, B, C, D;
   Gate G;
   std::vector<FunctionInfo *> Order;
   std::mutex OrderMu;
@@ -71,37 +71,25 @@ TEST(CompileQueue, DedupCoalescesAndPromotesPriority) {
             CompileQueue::EnqueueResult::Queued);
   G.waitEntered();
 
-  EXPECT_EQ(Q.enqueue(makeTask(&A, false, CompilePriority::FirstCompile)),
-            CompileQueue::EnqueueResult::Queued);
-  EXPECT_EQ(Q.enqueue(makeTask(&B, false, CompilePriority::FirstCompile)),
-            CompileQueue::EnqueueResult::Queued);
-  // Same key folds into the pending job instead of queueing twice...
-  EXPECT_EQ(Q.enqueue(makeTask(&A, false, CompilePriority::FirstCompile)),
-            CompileQueue::EnqueueResult::Coalesced);
-  // ...and a more urgent duplicate promotes it past earlier arrivals.
-  EXPECT_EQ(Q.enqueue(makeTask(&B, false, CompilePriority::Recompile)),
-            CompileQueue::EnqueueResult::Coalesced);
-  // Entry and OSR jobs for one function are distinct keys.
-  EXPECT_EQ(Q.enqueue(makeTask(&A, true, CompilePriority::FirstCompile)),
-            CompileQueue::EnqueueResult::Queued);
-  EXPECT_EQ(Q.enqueue(makeTask(&C, false, CompilePriority::Recompile)),
-            CompileQueue::EnqueueResult::Queued);
-  // Coalescing also applies to the job the worker is running right now.
-  EXPECT_EQ(Q.enqueue(makeTask(&Gatekeeper, false, CompilePriority::Recompile)),
-            CompileQueue::EnqueueResult::Coalesced);
+  for (auto [Info, Priority] :
+       {std::pair{&A, CompilePriority::FirstCompile},
+        std::pair{&B, CompilePriority::Recompile},
+        std::pair{&C, CompilePriority::FirstCompile},
+        std::pair{&D, CompilePriority::Recompile}})
+    EXPECT_EQ(Q.enqueue(makeTask(Info, false, Priority)),
+              CompileQueue::EnqueueResult::Queued);
   EXPECT_EQ(Q.depth(), 4u);
 
   G.Open.store(true, std::memory_order_release);
   Q.drain();
 
-  // Recompiles (B promoted, C) outrank first compiles; FIFO within a
-  // priority class (B before C, A-entry before A-OSR).
-  std::vector<FunctionInfo *> Expected = {&Gatekeeper, &B, &C, &A, &A};
+  // Recompiles outrank first compiles; FIFO within a priority class
+  // (B before D, A before C).
+  std::vector<FunctionInfo *> Expected = {&Gatekeeper, &B, &D, &A, &C};
   EXPECT_EQ(Order, Expected);
 
   CompileQueue::Counters Counts = Q.counters();
   EXPECT_EQ(Counts.Enqueued, 5u);
-  EXPECT_EQ(Counts.Coalesced, 3u);
   EXPECT_EQ(Counts.Compiled, 5u);
   EXPECT_EQ(Counts.RejectedFull, 0u);
 }
@@ -117,9 +105,6 @@ TEST(CompileQueue, BoundedBacklogRejectsWhenFull) {
   EXPECT_EQ(Q.enqueue(makeTask(&F[2], false, CompilePriority::FirstCompile)),
             CompileQueue::EnqueueResult::Full);
   EXPECT_EQ(Q.counters().RejectedFull, 1u);
-  // A duplicate of a pending key still coalesces at the bound.
-  EXPECT_EQ(Q.enqueue(makeTask(&F[0], false, CompilePriority::FirstCompile)),
-            CompileQueue::EnqueueResult::Coalesced);
 }
 
 TEST(CompileQueue, ShutdownDropsPendingJobs) {
@@ -373,8 +358,11 @@ void expectDrainParity(TierPolicy Policy, size_t CacheBytes,
 constexpr size_t ServeCacheBytes = 120 * 1024;
 
 TEST(AsyncEngine, DrainModeCountsMatchInlinePaper) {
-  // The paper policy's counts, recorded before the specialized binaries
-  // moved into one table; any policy change that moves them shows here.
+  // The paper policy's counts. The suite sums date from before the
+  // specialized binaries moved into one table; the generated sums from
+  // when overflow and out-of-bounds feedback stopped leaking from native
+  // helpers to the next interpreted site. Any policy change that moves
+  // them shows here.
   PinnedCounts Pinned;
   Pinned.Suite =
       "engine.compilations 93 engine.recompilations 33 "
@@ -388,15 +376,15 @@ TEST(AsyncEngine, DrainModeCountsMatchInlinePaper) {
       "engine.bailouts.int-overflow 12 engine.bailouts.type-guard 12";
   Pinned.Generated =
       "engine.compilations 790 engine.recompilations 362 "
-      "engine.compiles.specialized 455 engine.compiles.generic 335 "
-      "engine.despecializations 261 engine.cache_hits 3882 "
-      "engine.cache_hits.value_tier 3882 engine.cache_hits.type_tier 0 "
+      "engine.compiles.specialized 454 engine.compiles.generic 336 "
+      "engine.despecializations 261 engine.cache_hits 3858 "
+      "engine.cache_hits.value_tier 3858 engine.cache_hits.type_tier 0 "
       "engine.tier_demotions.value_to_type 0 "
       "engine.tier_demotions.to_generic 0 engine.generic_fallbacks 0 "
-      "engine.bailouts 753 engine.osr_entries 709 engine.calls.native 63055 "
-      "engine.calls.interpreted 692 engine.fused_ops 3412 "
-      "engine.bailouts.int-overflow 116 engine.bailouts.negative-zero 25 "
-      "engine.bailouts.type-guard 332 engine.bailouts.number-guard 139 "
+      "engine.bailouts 758 engine.osr_entries 714 engine.calls.native 63055 "
+      "engine.calls.interpreted 692 engine.fused_ops 3422 "
+      "engine.bailouts.int-overflow 117 engine.bailouts.negative-zero 25 "
+      "engine.bailouts.type-guard 336 engine.bailouts.number-guard 139 "
       "engine.bailouts.bounds-check 118 engine.bailouts.shape-guard 23";
   expectDrainParity(TierPolicy::Paper, 0, Pinned);
 }
@@ -434,6 +422,27 @@ TEST(AsyncEngine, FreeRunningCompilePublishesAtDispatchBoundary) {
   EXPECT_EQ(E.stats().Compilations, 1u);
   EXPECT_EQ(E.stats().SpecializedCompiles, 1u);
   EXPECT_EQ(E.stats().NativeCalls + E.stats().InterpretedCalls, 20u);
+}
+
+// The queue keeps duplicates; the engine's per-function pending flag is
+// what stops a second compile of a function whose first is in flight.
+TEST(AsyncEngine, CompileNowWhileInFlightQueuesNothing) {
+  EngineKnobs Knobs;
+  Knobs.CompileThreads = 1; // Free-running: installs wait for a pump.
+  Runtime RT;
+  Engine E(RT, OptConfig::all(), Knobs);
+  RT.evaluate("function f(x) { return x + 1; }");
+  ASSERT_FALSE(RT.hasError());
+  FunctionInfo *F = nullptr;
+  for (size_t I = 0; I != RT.program()->numFunctions(); ++I)
+    if (RT.program()->function(static_cast<uint32_t>(I))->Name == "f")
+      F = RT.program()->function(static_cast<uint32_t>(I));
+  ASSERT_NE(F, nullptr);
+
+  EXPECT_EQ(E.compileNow(F, nullptr), nullptr);
+  EXPECT_EQ(E.compileNow(F, nullptr), nullptr);
+  E.drainCompiles();
+  EXPECT_EQ(E.stats().Compilations, 1u);
 }
 
 } // namespace

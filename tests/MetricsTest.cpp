@@ -141,8 +141,6 @@ TEST_F(MetricsTest, DisabledTimerIsANoOp) {
 
 TEST_F(MetricsTest, TimerLatchesEnabledStateAtConstruction) {
   metrics().enable();
-  if (!metricsEnabled())
-    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
   metrics().enable(false);
   // Enabling mid-span must not let the destructor pop a frame that was
   // never pushed (that would corrupt the attribution stack).
@@ -163,8 +161,6 @@ TEST_F(MetricsTest, TimerLatchesEnabledStateAtConstruction) {
 
 TEST_F(MetricsTest, TimerStopEndsSpanEarlyAndOnce) {
   metrics().enable();
-  if (!metricsEnabled())
-    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
   {
     MetricsPhaseTimer T(Phase::Bailout);
     T.stop();
@@ -308,8 +304,6 @@ TEST_F(MetricsTest, PrometheusExposition) {
 
 TEST_F(MetricsTest, ScriptRunPopulatesPhasesAndTicks) {
   metrics().enable();
-  if (!metricsEnabled())
-    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
   Runtime RT;
   RT.evaluate("function f(x) { return x + 1; }"
               "var s = 0; for (var i = 0; i < 10; i++) s = f(s);");
@@ -324,8 +318,6 @@ TEST_F(MetricsTest, ScriptRunPopulatesPhasesAndTicks) {
 
 TEST_F(MetricsTest, FunctionDespecializationsCountEveryLoss) {
   metrics().enable();
-  if (!metricsEnabled())
-    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
   EngineKnobs Knobs;
   Knobs.Policy = TierPolicy::Tiered;
   Knobs.LoopThreshold = 1000000; // Keep top-level code interpreted.
@@ -350,8 +342,6 @@ TEST_F(MetricsTest, FunctionDespecializationsCountEveryLoss) {
 /// under their published names.
 TEST_F(MetricsTest, EngineCountStoresAgree) {
   metrics().enable();
-  if (!metricsEnabled())
-    GTEST_SKIP() << "built with JITVS_TELEMETRY_ENABLED=0";
   for (TierPolicy Policy : {TierPolicy::Paper, TierPolicy::Tiered}) {
     SCOPED_TRACE(tierPolicyName(Policy));
     metrics().reset();

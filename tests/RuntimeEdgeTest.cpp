@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "jit/Engine.h"
+#include "vm/Bytecode.h"
 #include "vm/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -282,6 +283,66 @@ TEST(ArrayEdge, OutOfBoundsReadsMatchInterpreter) {
                  "for (var k = 0; k < 20; k++) at(xs, 1);"
                  "print(at(xs, 3), at(xs, -1), at(xs, 100));"),
             "undefined undefined undefined\n");
+}
+
+/// Runs \p Source under the JIT (top-level loops stay interpreted), checks
+/// that \p Native ran native code, and \returns the feedback of the first
+/// \p O site of \p Cold (nullptr when that site never ran).
+const SiteFeedback *coldSiteAfterNative(Runtime &RT, const std::string &Source,
+                                        const std::string &Native,
+                                        const std::string &Cold, Op O) {
+  EngineKnobs Knobs;
+  Knobs.CallThreshold = 2;
+  Knobs.LoopThreshold = 1000000;
+  Engine E(RT, OptConfig::all(), Knobs);
+  RT.evaluate(Source);
+  EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
+  bool RanNative = false;
+  for (const Engine::FunctionReport &R : E.functionReports())
+    RanNative |= R.Name == Native && R.NativeRuns > 0;
+  EXPECT_TRUE(RanNative) << Native << " never ran native code";
+  for (size_t I = 0; I != RT.program()->numFunctions(); ++I) {
+    FunctionInfo *F = RT.program()->function(static_cast<uint32_t>(I));
+    if (F->Name != Cold)
+      continue;
+    for (uint32_t PC = 0; PC < F->Code.size(); PC += F->instructionLength(PC))
+      if (F->opAt(PC) == O)
+        return F->Feedback.find(PC);
+  }
+  return nullptr;
+}
+
+// A native generic helper's overflow or out-of-bounds access belongs to
+// its own site: the next interpreted site, anywhere, must not record it.
+TEST(FeedbackEdge, NativeOverflowDoesNotLeakToNextInterpretedSite) {
+  Runtime RT;
+  const SiteFeedback *FB = coldSiteAfterNative(
+      RT,
+      "function g(a, b) { return a + b; }"
+      "function h(x) { return x + 1; }"
+      "for (var i = 0; i < 20; i++) { g('s', i); g(i, i); }"
+      "print(g(2147483647, 1));"
+      "h(5);",
+      "g", "h", Op::Add);
+  EXPECT_EQ(RT.output(), "2147483648\n");
+  ASSERT_NE(FB, nullptr);
+  EXPECT_FALSE(FB->SawIntOverflow);
+}
+
+TEST(FeedbackEdge, NativeOutOfBoundsDoesNotLeakToNextInterpretedSite) {
+  Runtime RT;
+  const SiteFeedback *FB = coldSiteAfterNative(
+      RT,
+      "function g(a, i) { return a[i]; }"
+      "function h(a) { return a[0]; }"
+      "var xs = [1, 2, 3];"
+      "for (var i = 0; i < 20; i++) { g(xs, i % 3); g('abc', i % 3); }"
+      "print(g(xs, 10));"
+      "h(xs);",
+      "g", "h", Op::GetElem);
+  EXPECT_EQ(RT.output(), "undefined\n");
+  ASSERT_NE(FB, nullptr);
+  EXPECT_FALSE(FB->SawOutOfBounds);
 }
 
 TEST(ArrayEdge, HugeIndexWriteDoesNotGrowDenseStorage) {

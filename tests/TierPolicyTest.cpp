@@ -166,8 +166,6 @@ TEST(TierPolicy, ArityChangeRecordsOneTransitionPerEntry) {
   }
   EXPECT_TRUE(Saw);
 
-  if (!JITVS_TELEMETRY_ENABLED)
-    return;
   size_t Transitions = 0;
   for (const TelemetryEvent &E : Events)
     if (E.Kind == TelemetryEventKind::TierTransition &&
