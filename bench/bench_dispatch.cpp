@@ -87,9 +87,10 @@ double runMode(const Workload &W, const Mode &M) {
   std::unique_ptr<Engine> E;
   OptConfig Config = OptConfig::all();
   if (M.Jit) {
-    E = std::make_unique<Engine>(RT, Config);
-    E->setDispatchMode(M.Dispatch);
-    E->setFusion(M.Fusion);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.Dispatch = M.Dispatch;
+    K.Fusion = M.Fusion;
+    E = std::make_unique<Engine>(RT, Config, K);
   }
   Timer T;
   RT.evaluate(W.Source);

@@ -27,7 +27,7 @@ int main() {
 
   Runtime RT;
   CallProfiler Profiler;
-  RT.setCallObserver(&Profiler);
+  RT.setHooks(&Profiler);
   RT.evaluate(Source);
   if (RT.hasError()) {
     std::fprintf(stderr, "session failed: %s\n", RT.errorMessage().c_str());

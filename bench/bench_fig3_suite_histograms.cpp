@@ -25,7 +25,7 @@ int main() {
     for (const Workload &W : suiteWorkloads(SuiteNames[SuiteIdx])) {
       Runtime RT;
       Profiler.beginUnit();
-      RT.setCallObserver(&Profiler);
+      RT.setHooks(&Profiler);
       RT.evaluate(W.Source);
       if (RT.hasError()) {
         std::fprintf(stderr, "%s failed: %s\n", W.Name,

@@ -29,7 +29,7 @@ int main() {
     for (const Workload &W : suiteWorkloads(SuiteNames[SuiteIdx])) {
       Runtime RT;
       Profiler.beginUnit();
-      RT.setCallObserver(&Profiler);
+      RT.setHooks(&Profiler);
       RT.evaluate(W.Source);
       if (RT.hasError()) {
         std::fprintf(stderr, "%s failed: %s\n", W.Name,
@@ -47,7 +47,7 @@ int main() {
     WebSessionModel Model;
     Runtime RT;
     CallProfiler Profiler;
-    RT.setCallObserver(&Profiler);
+    RT.setHooks(&Profiler);
     RT.evaluate(generateWebSessionProgram(Model, /*Seed=*/20130223));
     if (RT.hasError()) {
       std::fprintf(stderr, "web session failed: %s\n",

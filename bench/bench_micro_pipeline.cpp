@@ -69,9 +69,9 @@ BENCHMARK(BM_InterpreterKernel);
 
 void BM_NativeKernelGeneric(benchmark::State &State) {
   Runtime RT;
-  OptConfig C = OptConfig::baseline();
-  Engine E(RT, C);
-  E.setCallThreshold(1);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 1;
+  Engine E(RT, OptConfig::baseline(), K);
   RT.load(KernelSource);
   RT.run();
   Value Arr = RT.global(RT.program()->globalSlot("arr"));
@@ -86,8 +86,9 @@ BENCHMARK(BM_NativeKernelGeneric);
 
 void BM_NativeKernelSpecialized(benchmark::State &State) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(1);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 1;
+  Engine E(RT, OptConfig::all(), K);
   RT.load(KernelSource);
   RT.run();
   Value Arr = RT.global(RT.program()->globalSlot("arr"));

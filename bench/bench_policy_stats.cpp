@@ -147,8 +147,9 @@ int main() {
       double Seconds = 0.0;
       for (const Workload &W : suiteWorkloads(SuiteNames[SuiteIdx])) {
         Runtime RT;
-        Engine E(RT, Spec);
-        E.setCacheDepth(Depth);
+        EngineKnobs K = EngineKnobs::fromEnvironment();
+        K.CacheDepth = Depth;
+        Engine E(RT, Spec, K);
         Timer T;
         RT.evaluate(W.Source);
         Seconds += T.seconds();
@@ -187,8 +188,9 @@ int main() {
       uint64_t DemV2T = 0, DemGen = 0, GenFB = 0;
       for (const Workload &W : suiteWorkloads(SuiteNames[SuiteIdx])) {
         Runtime RT;
-        Engine E(RT, Spec);
-        E.setTierPolicy(P);
+        EngineKnobs K = EngineKnobs::fromEnvironment();
+        K.Policy = P;
+        Engine E(RT, Spec, K);
         RT.evaluate(W.Source);
         if (RT.hasError()) {
           std::fprintf(stderr, "%s failed: %s\n", W.Name,

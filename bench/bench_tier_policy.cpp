@@ -32,7 +32,7 @@ namespace {
 /// Captures each function's call count and last-seen arguments during a
 /// pure-interpreter profiling run. The captured values are GC roots: the
 /// later compiles can allocate (string folding) and collect.
-class ArgCapture final : public CallObserver, public RootSource {
+class ArgCapture final : public ExecutionHooks, public RootSource {
 public:
   struct Rec {
     uint64_t Calls = 0;
@@ -42,11 +42,12 @@ public:
   explicit ArgCapture(Heap &H) : H(H) { H.addRootSource(this); }
   ~ArgCapture() override { H.removeRootSource(this); }
 
-  void recordCall(FunctionInfo *Callee, const Value *Args,
-                  size_t NumArgs) override {
-    Rec &R = Funcs[Callee];
+  bool onCall(JSFunction *Callee, const Value &, const Value *Args,
+              size_t NumArgs, Value &) override {
+    Rec &R = Funcs[Callee->info()];
     ++R.Calls;
     R.Args.assign(Args, Args + NumArgs);
+    return false;
   }
 
   void traceRoots(GCVisitor &Visitor) override {
@@ -79,9 +80,9 @@ int main() {
     for (const Workload &W : suiteWorkloads(SuiteNames[SuiteIdx])) {
       Runtime RT;
       ArgCapture Cap(RT.heap());
-      RT.setCallObserver(&Cap);
+      RT.setHooks(&Cap);
       RT.evaluate(W.Source);
-      RT.setCallObserver(nullptr);
+      RT.setHooks(nullptr);
       if (RT.hasError()) {
         std::fprintf(stderr, "%s failed: %s\n", W.Name,
                      RT.errorMessage().c_str());
@@ -148,8 +149,9 @@ int main() {
         Despec = HitsVal = HitsType = DemV2T = DemGen = GenFB = 0;
         for (const Workload &W : Works) {
           Runtime RT;
-          Engine E(RT, Spec);
-          E.setTierPolicy(P);
+          EngineKnobs K = EngineKnobs::fromEnvironment();
+          K.Policy = P;
+          Engine E(RT, Spec, K);
           Timer T;
           RT.evaluate(W.Source);
           Seconds += T.seconds();

@@ -144,9 +144,17 @@ private:
   MIRGraph &Graph;
 };
 
-/// The default constructor's knobs: EngineKnobs' defaults, overridden by
-/// whatever JITVS_* variables are set.
-EngineKnobs knobsFromEnvironment() {
+/// The knobs an engine runs with: \p K with out-of-range values clamped.
+EngineKnobs normalized(EngineKnobs K) {
+  K.CacheDepth = std::max(1u, K.CacheDepth);
+  K.CompileThreads = std::min(K.CompileThreads, 16u);
+  K.Dispatch = Executor::supportedMode(K.Dispatch);
+  return K;
+}
+
+} // namespace
+
+EngineKnobs EngineKnobs::fromEnvironment() {
   EngineKnobs K;
   K.Dispatch = Executor::defaultDispatchMode(); // Honors JITVS_DISPATCH.
   if (const char *P = std::getenv("JITVS_TIER_POLICY")) {
@@ -176,30 +184,18 @@ EngineKnobs knobsFromEnvironment() {
   return K;
 }
 
-} // namespace
-
-Engine::Engine(Runtime &RT, const OptConfig &Config,
-               const EngineKnobs &Knobs)
-    : RT(RT), Config(Config), Exec(RT), CallThreshold(Knobs.CallThreshold),
-      LoopThreshold(Knobs.LoopThreshold), BailoutLimit(Knobs.BailoutLimit),
-      CacheDepth(std::max(1u, Knobs.CacheDepth)), Policy(Knobs.Policy),
-      ValueStabilityMax(Knobs.ValueStabilityMax), FusionEnabled(Knobs.Fusion),
-      CompileThreadCount(Knobs.CompileThreads),
-      CompileDrainMode(Knobs.CompileDrain), Cache(Knobs.CodeCacheBytes) {
+Engine::Engine(Runtime &RT, const OptConfig &Config, const EngineKnobs &K)
+    : RT(RT), Config(Config), Knobs(normalized(K)), Exec(RT, Knobs.Dispatch),
+      Cache(Knobs.CodeCacheBytes) {
   Roots = std::make_unique<EngineRoots>(*this);
   RT.setHooks(this);
-  Exec.setDispatchMode(Knobs.Dispatch);
   initCompileQueue();
 }
 
-Engine::Engine(Runtime &RT, const OptConfig &Config)
-    : Engine(RT, Config, knobsFromEnvironment()) {}
-
 void Engine::initCompileQueue() {
-  if (CompileThreadCount == 0)
+  if (Knobs.CompileThreads == 0)
     return;
-  CompileThreadCount = std::min(CompileThreadCount, 16u);
-  for (unsigned I = 0; I != CompileThreadCount; ++I) {
+  for (unsigned I = 0; I != Knobs.CompileThreads; ++I) {
     auto FoldRT = std::make_unique<Runtime>();
     // Fold temporaries are unrooted in the worker heap; a collection
     // there would sweep constants mid-compile. Surviving allocations
@@ -213,7 +209,7 @@ void Engine::initCompileQueue() {
     WorkerRTs.push_back(std::move(FoldRT));
   }
   Queue = std::make_unique<CompileQueue>(
-      CompileThreadCount, /*Bound=*/128,
+      Knobs.CompileThreads, /*Bound=*/128,
       [this](CompileTask &Task, unsigned WorkerIdx) {
         workerCompile(Task, *WorkerRTs[WorkerIdx]);
       });
@@ -251,7 +247,7 @@ void Engine::recordArgs(FuncState &FS, const Value *Args, size_t NumArgs) {
           return Seen.sameSpecializationValue(V);
         }))
       continue;
-    if (P.Values.size() < ValueStabilityMax) {
+    if (P.Values.size() < Knobs.ValueStabilityMax) {
       P.Values.push_back(V);
     } else {
       P.Saturated = true;
@@ -420,7 +416,7 @@ Engine::runCompilePipeline(const CompileTask &Task, Runtime &FoldRT,
     Out->Code = generateCode(*Graph);
   }
   NativeCode &Code = *Out->Code;
-  if (FusionEnabled) {
+  if (Knobs.Fusion) {
     MetricsPhaseTimer FusionPhase(Phase::Fusion);
     Timer FuseT;
     FusionStats FuseStats;
@@ -471,7 +467,7 @@ bool Engine::despecialize(FuncState &FS, FunctionInfo *Info,
                           const Value *Vals, size_t N,
                           std::vector<ParamTier> &NewTiers) {
   FunctionReport &R = FS.Report;
-  if (Policy == TierPolicy::Paper) {
+  if (Knobs.Policy == TierPolicy::Paper) {
     R.Cause = PaperCause;
   } else {
     bool SawTypeMismatch = false;
@@ -489,7 +485,7 @@ bool Engine::despecialize(FuncState &FS, FunctionInfo *Info,
   // The paper's policy (Section 4) never specializes again, unless the
   // entries were kept and still answer their own signatures; the tiered
   // ladder goes fully generic only once every tier is exhausted.
-  if (Policy == TierPolicy::Paper) {
+  if (Knobs.Policy == TierPolicy::Paper) {
     FS.NeverSpecialize |= !Kept;
     return false;
   }
@@ -705,7 +701,7 @@ std::shared_ptr<NativeCode> Engine::submit(FuncState &FS,
   }
   std::shared_ptr<CompileTask> Queued = std::move(Task);
   enqueueCompileTask(FS, Queued);
-  if (!CompileDrainMode || !FS.CompilePending)
+  if (!Knobs.CompileDrain || !FS.CompilePending)
     return nullptr;
   return installFinished(/*Wait=*/true, Queued.get());
 }
@@ -804,7 +800,7 @@ Value Engine::execute(FuncState &FS, FunctionInfo *Info,
   // bounds the nesting: the next compile uses the refreshed feedback.
   // A body no longer linked (a nested call replaced it) is left alone.
   const auto &Entries = Cache.entries(Info);
-  if (FS.Bailouts >= BailoutLimit &&
+  if (FS.Bailouts >= Knobs.BailoutLimit &&
       (FS.Code == Code ||
        std::any_of(Entries.begin(), Entries.end(),
                    [&](const auto &En) { return En.Code == Code; }))) {
@@ -874,10 +870,10 @@ bool Engine::onCall(JSFunction *Callee, const Value &ThisV,
   // A miss. The tiered policy records the arguments of the calls it has
   // to decide on. A function without a binary waits for its call
   // threshold, and decisions wait for an in-flight compile to install.
-  if (Policy == TierPolicy::Tiered)
+  if (Knobs.Policy == TierPolicy::Tiered)
     recordArgs(FS, Args, NumArgs);
   size_t Held = Cache.entriesFor(Info);
-  if (!Held && Info->CallCount < CallThreshold)
+  if (!Held && Info->CallCount < Knobs.CallThreshold)
     return Interpret();
   if (FS.CompilePending)
     return Interpret();
@@ -914,7 +910,7 @@ bool Engine::onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) {
   if (Queue)
     installFinished(/*Wait=*/false);
   FunctionInfo *Info = Frame.Info;
-  if (Info->BackEdgeCount < LoopThreshold)
+  if (Info->BackEdgeCount < Knobs.LoopThreshold)
     return false;
   FuncState &FS = state(Info);
 

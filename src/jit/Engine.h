@@ -133,14 +133,11 @@ enum class DespecializeCause : uint8_t {
 /// \returns a stable lower-case name ("different-args", ...).
 const char *despecializeCauseName(DespecializeCause C);
 
-/// Fully programmatic engine configuration. The default Engine
-/// constructor seeds its knobs from the JITVS_* environment (convenient
-/// for ad-hoc runs), which makes engines constructed inside one process
-/// all agree with the ambient environment — exactly wrong for the
-/// differential fuzzer's config-matrix runner, where many engines with
-/// deliberately different knobs must coexist regardless of what the
-/// harness process inherited. Constructing with EngineKnobs bypasses the
-/// environment entirely: what you specify is what you get.
+/// The engine's whole configuration, fixed when the engine is built.
+/// fromEnvironment() seeds it from the JITVS_* environment (convenient
+/// for ad-hoc runs); harnesses that must not inherit the ambient
+/// environment, like the differential fuzzer's config-matrix runner,
+/// fill one in directly: what you specify is what you get.
 struct EngineKnobs {
   TierPolicy Policy = TierPolicy::Paper;
   bool Fusion = true;
@@ -148,6 +145,14 @@ struct EngineKnobs {
   uint32_t CallThreshold = 8;
   uint32_t LoopThreshold = 100;
   uint32_t BailoutLimit = 12;
+  /// Future-work knob from the paper's conclusion: how many specialized
+  /// binaries (argument sets) to cache per function — the table's
+  /// signature cap when there is no byte budget. The paper uses 1 ("we
+  /// cache only one binary per function. Thus, we can specialize only two
+  /// different parameter sets" — the specialized one plus the generic
+  /// fallback); with depth N, a call whose arguments miss every held set
+  /// compiles one more while fewer than N are held, and otherwise
+  /// retires them all and despecializes as usual. 0 counts as 1.
   uint32_t CacheDepth = 1;
   /// Tiered policy: a parameter whose warm-up calls carried at most this
   /// many distinct values starts at the value tier; more values but one
@@ -155,10 +160,10 @@ struct EngineKnobs {
   /// Engine::chooseTiers). Env: JITVS_TIER_VALUE_MAX.
   uint32_t ValueStabilityMax = 1;
   /// Background compilation workers. 0 (the default) runs each compile
-  /// inline on the calling thread; N >= 1 queues it for a worker while
-  /// the caller keeps interpreting. The policy decisions are the same
-  /// code in both modes. Env: JITVS_COMPILE_THREADS (a number, or
-  /// "auto" = hw_concurrency-1).
+  /// inline on the calling thread; N >= 1 (at most 16) queues it for a
+  /// worker while the caller keeps interpreting. The policy decisions are
+  /// the same code in both modes. Env: JITVS_COMPILE_THREADS (a number,
+  /// or "auto" = hw_concurrency-1).
   uint32_t CompileThreads = 0;
   /// Deterministic mode for differential testing: block on the queue
   /// right after every enqueue and run the installed binary, exactly
@@ -175,17 +180,21 @@ struct EngineKnobs {
   /// Engine::CodeCacheSigLimit signatures, and a miss beyond them keeps
   /// those entries beside a generic fallback. Env: JITVS_CODE_CACHE_BYTES.
   size_t CodeCacheBytes = 0;
+
+  /// EngineKnobs' defaults, overridden by whatever of JITVS_TIER_POLICY,
+  /// JITVS_TIER_VALUE_MAX, JITVS_FUSION, JITVS_DISPATCH,
+  /// JITVS_COMPILE_THREADS, JITVS_COMPILE_DRAIN and JITVS_CODE_CACHE_BYTES
+  /// is set to a valid value.
+  static EngineKnobs fromEnvironment();
 };
 
-/// The JIT engine. Attach to a Runtime via Runtime::setHooks.
+/// The JIT engine. Construction attaches it as its Runtime's call hook.
 class Engine final : public ExecutionHooks {
 public:
-  /// Environment-seeded construction (JITVS_TIER_POLICY, JITVS_FUSION,
-  /// JITVS_DISPATCH and friends override the defaults).
-  Engine(Runtime &RT, const OptConfig &Config);
-  /// Environment-independent construction: every knob comes from \p
-  /// Knobs, nothing is read from getenv.
-  Engine(Runtime &RT, const OptConfig &Config, const EngineKnobs &Knobs);
+  /// Attaches to \p RT. \p Knobs is fixed for the engine's lifetime;
+  /// out-of-range values are clamped once, here (see knobs()).
+  Engine(Runtime &RT, const OptConfig &Config,
+         const EngineKnobs &Knobs = EngineKnobs::fromEnvironment());
   ~Engine() override;
 
   bool onCall(JSFunction *Callee, const Value &ThisV, const Value *Args,
@@ -195,33 +204,10 @@ public:
   const EngineStats &stats() const { return Stats; }
   const OptConfig &config() const { return Config; }
 
-  /// Hotness thresholds.
-  void setCallThreshold(uint32_t N) { CallThreshold = N; }
-  void setLoopThreshold(uint32_t N) { LoopThreshold = N; }
-  void setBailoutLimit(uint32_t N) { BailoutLimit = N; }
-
-  /// Future-work knob from the paper's conclusion: how many specialized
-  /// binaries (argument sets) to cache per function — the table's
-  /// signature cap when there is no byte budget. The paper uses 1 ("we
-  /// cache only one binary per function. Thus, we can specialize only two
-  /// different parameter sets" — the specialized one plus the generic
-  /// fallback); with depth N, a call whose arguments miss every held set
-  /// compiles one more while fewer than N are held, and otherwise
-  /// retires them all and despecializes as usual.
-  void setCacheDepth(uint32_t N) { CacheDepth = std::max(1u, N); }
-
-  /// Selects the specialization policy (default: the paper's). Also
-  /// settable via the environment: JITVS_TIER_POLICY=tiered|paper.
-  void setTierPolicy(TierPolicy P) { Policy = P; }
-  TierPolicy tierPolicy() const { return Policy; }
-
-  /// Post-regalloc macro-op fusion (default on; env: JITVS_FUSION=0|off
-  /// disables). Applies to compiles after the call.
-  void setFusion(bool On) { FusionEnabled = On; }
-
-  /// Dispatch-loop selection for this engine's executor (env default:
-  /// JITVS_DISPATCH; see Executor::defaultDispatchMode).
-  void setDispatchMode(DispatchMode M) { Exec.setDispatchMode(M); }
+  /// The configuration in force: the constructor's knobs with CacheDepth
+  /// at least 1, CompileThreads at most 16 and Dispatch supported by this
+  /// build.
+  const EngineKnobs &knobs() const { return Knobs; }
 
   /// Blocks until every queued compile has finished, then installs the
   /// results. The wait is accounted to EngineStats::CompileStallSeconds.
@@ -342,7 +328,7 @@ private:
 
   // --- Off-thread compilation ---
   /// Spawns the worker pool + per-worker fold Runtimes (no-op when
-  /// CompileThreadCount is 0).
+  /// Knobs.CompileThreads is 0).
   void initCompileQueue();
   /// Runs one task on a worker thread: the pipeline against \p FoldRT,
   /// then release-publication of the outcome into the task's result
@@ -394,7 +380,7 @@ private:
   /// Specialized signatures the table holds per function: CacheDepth, or
   /// CodeCacheSigLimit under a byte budget.
   uint32_t sigCap() const {
-    return keepsEntriesOnMiss() ? CodeCacheSigLimit : CacheDepth;
+    return keepsEntriesOnMiss() ? CodeCacheSigLimit : Knobs.CacheDepth;
   }
 
   /// Records one despecialization of \p Info and applies the miss rule.
@@ -422,22 +408,12 @@ private:
 
   Runtime &RT;
   OptConfig Config;
+  const EngineKnobs Knobs;
   Executor Exec;
   std::unordered_map<FunctionInfo *, FuncState> States;
   EngineStats Stats;
 
-  // Seeded from EngineKnobs, which holds the defaults.
-  uint32_t CallThreshold;
-  uint32_t LoopThreshold;
-  uint32_t BailoutLimit;
-  uint32_t CacheDepth;
-  TierPolicy Policy;
-  uint32_t ValueStabilityMax;
-  bool FusionEnabled;
-
   // --- Off-thread compilation ---
-  unsigned CompileThreadCount; ///< 0 = every compile runs inline.
-  bool CompileDrainMode;
   /// One private Runtime per worker: constant folding's heap and helper
   /// state without racing the main heap. GC is disabled on these heaps
   /// (fold temporaries are unrooted there); allocations that survive to

@@ -65,7 +65,10 @@ struct FrameBuffers {
 /// Executes native code frames.
 class Executor {
 public:
-  explicit Executor(Runtime &RT) : RT(RT), Mode(defaultDispatchMode()) {}
+  /// Runs every frame with \p M (see supportedMode), fixed for the
+  /// executor's lifetime.
+  explicit Executor(Runtime &RT, DispatchMode M = defaultDispatchMode())
+      : RT(RT), Mode(supportedMode(M)) {}
 
   /// True when this build supports computed-goto dispatch.
   static bool hasComputedGoto();
@@ -74,8 +77,10 @@ public:
   /// to Goto where supported and silently falls back to Switch elsewhere.
   static DispatchMode defaultDispatchMode();
 
-  void setDispatchMode(DispatchMode M) {
-    Mode = M == DispatchMode::Goto && !hasComputedGoto() ? DispatchMode::Switch
+  /// \p M, or Switch where \p M is Goto and this build has no computed
+  /// goto.
+  static DispatchMode supportedMode(DispatchMode M) {
+    return M == DispatchMode::Goto && !hasComputedGoto() ? DispatchMode::Switch
                                                          : M;
   }
 
@@ -88,7 +93,7 @@ public:
 
 private:
   Runtime &RT;
-  DispatchMode Mode;
+  const DispatchMode Mode;
   /// Buffer sets indexed by native call depth. The pool grows to the
   /// deepest nesting seen (at most the runtime's MaxCallDepth), each set
   /// to the largest frame run at its depth. A deque, so adding the set

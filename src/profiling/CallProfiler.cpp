@@ -8,12 +8,13 @@
 
 using namespace jitvs;
 
-void CallProfiler::recordCall(FunctionInfo *Callee, const Value *Args,
-                              size_t NumArgs) {
+bool CallProfiler::onCall(JSFunction *Callee, const Value &, const Value *Args,
+                          size_t NumArgs, Value &) {
   MetricsPhaseTimer ProfilePhase(Phase::ProfileCalls);
-  FuncProfile &P = Profiles[{CurrentUnit, Callee}];
+  FunctionInfo *Info = Callee->info();
+  FuncProfile &P = Profiles[{CurrentUnit, Info}];
   if (P.Calls == 0) {
-    P.Name = Callee->Name;
+    P.Name = Info->Name;
     for (size_t I = 0; I != NumArgs; ++I)
       P.FirstArgTags.push_back(Args[I].tag());
   }
@@ -26,6 +27,7 @@ void CallProfiler::recordCall(FunctionInfo *Callee, const Value *Args,
     H *= 1099511628211ull;
   }
   P.ArgSetHashes.insert(H);
+  return false;
 }
 
 static FractionHistogram

@@ -45,16 +45,18 @@ struct TypeDistribution {
   std::string toTable() const;
 };
 
-/// Observes every user-function call through Runtime's CallObserver hook.
-class CallProfiler final : public CallObserver {
+/// Observes every user-function call through the Runtime's call hook
+/// (attach with Runtime::setHooks); it never runs a call itself.
+class CallProfiler final : public ExecutionHooks {
 public:
   /// Starts a new profiling unit (one program/Runtime). Function
   /// identities are per-unit: fresh runtimes reuse heap addresses, so raw
   /// FunctionInfo pointers are only unique within a unit.
   void beginUnit() { ++CurrentUnit; }
 
-  void recordCall(FunctionInfo *Callee, const Value *Args,
-                  size_t NumArgs) override;
+  /// Records the call and returns false: the Runtime interprets it.
+  bool onCall(JSFunction *Callee, const Value &ThisV, const Value *Args,
+              size_t NumArgs, Value &Result) override;
 
   /// Figure 1 / Figure 3 (top): how many functions were called n times.
   FractionHistogram callCountHistogram(uint32_t MaxBucket = 30) const;

@@ -227,11 +227,6 @@ LogHistogram Metrics::valueHistogram(const std::string &Name) const {
   return It == ValueHist.end() ? LogHistogram() : It->second;
 }
 
-void Metrics::functionTick(const std::string &Name) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++Funcs[Name].Ticks;
-}
-
 std::map<std::string, Metrics::FunctionMetrics> Metrics::functions() const {
   std::lock_guard<std::mutex> Lock(Mu);
   return Funcs;

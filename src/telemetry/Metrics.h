@@ -59,7 +59,7 @@ namespace jitvs {
 enum class Phase : uint8_t {
   Script,       ///< One Runtime::evaluate (load + top-level run).
   Interpret,    ///< Bytecode interpreter frames.
-  ProfileCalls, ///< CallProfiler::recordCall bookkeeping.
+  ProfileCalls, ///< CallProfiler::onCall bookkeeping.
   Compile,      ///< One compile pipeline run (MIR -> LIR -> native).
   MIRBuild,     ///< Bytecode -> MIR graph construction.
   OptPass,      ///< One optimization pass (per-pass split: passes()).
@@ -196,9 +196,8 @@ public:
     }
   };
 
-  /// Live tick from the runtime's call dispatch.
-  void functionTick(const std::string &Name);
-  /// Folds \p Delta into \p Name's profile (an Engine's teardown fold).
+  /// Folds \p Delta into \p Name's profile: the teardown folds of an
+  /// Engine (compiles, native runs, ...) and of a Runtime (ticks).
   void mergeFunction(const std::string &Name, const FunctionMetrics &Delta);
   std::map<std::string, FunctionMetrics> functions() const;
   /// Profiles sorted hottest first (by ticks, then compile time).

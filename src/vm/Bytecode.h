@@ -147,7 +147,7 @@ struct FunctionInfo {
   FeedbackMap Feedback;
 
   // --- JIT bookkeeping (owned logically by jit::Engine) ---
-  uint32_t CallCount = 0;
+  uint64_t CallCount = 0; ///< Also the metrics' per-function ticks.
   uint32_t BackEdgeCount = 0;
 
   // --- Bytecode reading helpers ---

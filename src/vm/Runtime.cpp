@@ -16,10 +16,13 @@
 using namespace jitvs;
 
 ExecutionHooks::~ExecutionHooks() = default;
-CallObserver::~CallObserver() = default;
+
+bool ExecutionHooks::onLoopHead(InterpFrame &, uint32_t, Value &) {
+  return false;
+}
 
 /// Roots owned by the runtime: globals, internal values and every
-/// constant-pool entry of the loaded program.
+/// constant-pool entry of every loaded program.
 class Runtime::GlobalRoots final : public RootSource {
 public:
   explicit GlobalRoots(Runtime &RT) : RT(RT) { RT.TheHeap.addRootSource(this); }
@@ -35,7 +38,7 @@ public:
         Visitor.visit(V);
     // Program constants are tenured at load() (compile workers read them
     // lock-free), so visiting them here never writes after that point.
-    if (Program *P = RT.Prog.get())
+    for (const std::unique_ptr<Program> &P : RT.Programs)
       for (size_t I = 0, E = P->numFunctions(); I != E; ++I)
         for (Value &C : P->function(static_cast<uint32_t>(I))->Constants)
           Visitor.visit(C);
@@ -58,15 +61,24 @@ Runtime::Runtime() {
 
 Runtime::~Runtime() {
   if (metricsEnabled())
-    publishShapeMetrics();
+    publishMetrics();
 }
 
 void Runtime::setICWays(unsigned N) {
   ICWays = std::max(1u, std::min(N, SiteFeedback::MaxICWays));
 }
 
-void Runtime::publishShapeMetrics() {
+void Runtime::publishMetrics() {
   Metrics &M = metrics();
+  for (const std::unique_ptr<Program> &P : Programs)
+    for (size_t I = 0, E = P->numFunctions(); I != E; ++I) {
+      const FunctionInfo *F = P->function(static_cast<uint32_t>(I));
+      if (F->CallCount) {
+        Metrics::FunctionMetrics Delta;
+        Delta.Ticks = F->CallCount;
+        M.mergeFunction(F->Name, Delta);
+      }
+    }
   M.addCounter("shape.shapes", Shapes.size());
   M.addCounter("ic.get.hits", TheICStats.GetHits);
   M.addCounter("ic.get.misses", TheICStats.GetMisses);
@@ -759,13 +771,7 @@ Value Runtime::callValue(const Value &Callee, const Value &ThisV,
   if (F->isNative()) {
     Result = F->native()(*this, Roots.ThisV, Args, NumArgs);
   } else {
-    ++NumCalls;
-    FunctionInfo *Info = F->info();
-    ++Info->CallCount;
-    if (metricsEnabled())
-      metrics().functionTick(Info->Name);
-    if (Observer)
-      Observer->recordCall(Info, Args, NumArgs);
+    ++F->info()->CallCount;
     bool Handled = false;
     if (Hooks)
       Handled = Hooks->onCall(F, Roots.ThisV, Args, NumArgs, Result);
@@ -1040,7 +1046,8 @@ bool Runtime::load(const std::string &Source) {
     fail("compile error: " + CR.Error);
     return false;
   }
-  Prog = std::move(CR.Prog);
+  Prog = CR.Prog.get();
+  Programs.push_back(std::move(CR.Prog));
   installGlobals();
   // Tenure everything allocated so far — the program's constant-pool
   // strings/functions and the builtins just installed. Compile workers

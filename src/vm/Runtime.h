@@ -2,9 +2,9 @@
 ///
 /// \file
 /// The Runtime owns the heap, the loaded program, global variables and
-/// builtins, and routes every call through a single dispatch point so the
-/// JIT engine (through ExecutionHooks) and the call profiler can observe
-/// and intercept execution — the analogue of the SpiderMonkey /
+/// builtins, and routes every call through a single dispatch point so one
+/// ExecutionHooks listener — the JIT engine or the call profiler — can
+/// observe and intercept execution: the analogue of the SpiderMonkey /
 /// IonMonkey interplay in Figure 5 of the paper.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,7 +28,9 @@ namespace jitvs {
 class Runtime;
 struct InterpFrame;
 
-/// Interface the JIT engine implements to intercept execution.
+/// The one call hook: the JIT engine implements it to intercept execution,
+/// the Section 2 profilers (invocation and argument-set histograms,
+/// parameter types) to observe calls.
 class ExecutionHooks {
 public:
   virtual ~ExecutionHooks();
@@ -41,17 +43,9 @@ public:
 
   /// Called by the interpreter at each LoopHead. If the hook performs
   /// on-stack replacement and finishes the frame natively, it stores the
-  /// frame's return value in \p Result and returns true.
-  virtual bool onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result) = 0;
-};
-
-/// Interface for observing calls (Section 2 instrumentation: invocation
-/// histograms, argument-set histograms, parameter types).
-class CallObserver {
-public:
-  virtual ~CallObserver();
-  virtual void recordCall(FunctionInfo *Callee, const Value *Args,
-                          size_t NumArgs) = 0;
+  /// frame's return value in \p Result and returns true. The default
+  /// declines.
+  virtual bool onLoopHead(InterpFrame &Frame, uint32_t PC, Value &Result);
 };
 
 /// The MiniJS execution environment.
@@ -63,6 +57,8 @@ public:
   Runtime &operator=(const Runtime &) = delete;
 
   /// Compiles \p Source and loads it (installing globals and builtins).
+  /// Programs loaded earlier stay allocated for the Runtime's lifetime:
+  /// an attached engine keys its state by FunctionInfo address.
   /// \returns false and sets the error message on compile errors.
   bool load(const std::string &Source);
 
@@ -103,7 +99,7 @@ public:
 
   // --- Services used by the interpreter and native code ---
   Heap &heap() { return TheHeap; }
-  Program *program() { return Prog.get(); }
+  Program *program() { return Prog; }
   RNG &rng() { return Rand; }
 
   // --- Hidden-class shapes and property inline caches (vm/Shape.h) ---
@@ -163,9 +159,10 @@ public:
   void setEchoOutput(bool Echo) { EchoOutput = Echo; }
 
   // --- Hooks ---
+  /// Installs the one call hook (an Engine, a profiler, ...), replacing
+  /// any other; nullptr interprets every call.
   void setHooks(ExecutionHooks *H) { Hooks = H; }
   ExecutionHooks *hooks() { return Hooks; }
-  void setCallObserver(CallObserver *O) { Observer = O; }
 
   // --- Call depth guard (checkoverrecursed) ---
   bool enterCall() {
@@ -224,20 +221,20 @@ public:
   /// Resumes interpretation of a reconstructed frame (deoptimization).
   Value resumeFrame(InterpFrame &Frame);
 
-  /// Statistics: total user-function calls dispatched.
-  uint64_t totalCalls() const { return NumCalls; }
-
 private:
   friend class Interpreter;
 
   void installGlobals();
   /// Folds IC counters and the shape count into the global metrics
-  /// registry under "shape.*" / "ic.*", once, from the destructor when
+  /// registry under "shape.*" / "ic.*", and each called function's
+  /// CallCount into its profile's ticks, once, from the destructor when
   /// metrics are enabled.
-  void publishShapeMetrics();
+  void publishMetrics();
 
   Heap TheHeap;
-  std::unique_ptr<Program> Prog;
+  /// Every program loaded, oldest first; Prog is the last.
+  std::vector<std::unique_ptr<Program>> Programs;
+  Program *Prog = nullptr;
   std::vector<Value> Globals;
   RNG Rand;
 
@@ -256,11 +253,9 @@ private:
   bool EchoOutput = false;
 
   ExecutionHooks *Hooks = nullptr;
-  CallObserver *Observer = nullptr;
 
   uint32_t CallDepth = 0;
   uint32_t MaxCallDepth = 512;
-  uint64_t NumCalls = 0;
 
   uint32_t LengthId = ~0u;
 
@@ -271,7 +266,7 @@ private:
   Value TypeofStrings[6];
   bool TypeofStringsReady = false;
 
-  /// Roots: globals + program constants.
+  /// Roots: globals + the constants of every loaded program.
   class GlobalRoots;
   std::unique_ptr<GlobalRoots> Roots;
 };

@@ -138,9 +138,10 @@ EngineKnobs cacheKnobs(size_t Bytes, uint32_t Threads = 0,
 
 TEST(CodeCacheEngine, CrossCallReuseOfSpecializedBodies) {
   Runtime RT;
-  Engine E(RT, OptConfig::all(), cacheKnobs(1 << 20));
-  E.setCallThreshold(4);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = cacheKnobs(1 << 20);
+  K.CallThreshold = 4;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x * 2 + 1; }"
               "for (var i = 0; i < 40; i++) f(7);");
   ASSERT_FALSE(RT.hasError());
@@ -155,9 +156,10 @@ TEST(CodeCacheEngine, CrossCallReuseOfSpecializedBodies) {
 
 TEST(CodeCacheEngine, DistinctValuesCoexistInsteadOfDespecializing) {
   Runtime RT;
-  Engine E(RT, OptConfig::all(), cacheKnobs(1 << 20));
-  E.setCallThreshold(4);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = cacheKnobs(1 << 20);
+  K.CallThreshold = 4;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   // The legacy policy despecializes f on the first different argument;
   // the cache holds one body per value instead.
   RT.evaluate("function f(x) { return x * 2; }"
@@ -173,9 +175,10 @@ TEST(CodeCacheEngine, DistinctValuesCoexistInsteadOfDespecializing) {
 
 TEST(CodeCacheEngine, SignatureCapFallsBackToGenericButKeepsEntries) {
   Runtime RT;
-  Engine E(RT, OptConfig::all(), cacheKnobs(1 << 20));
-  E.setCallThreshold(2);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = cacheKnobs(1 << 20);
+  K.CallThreshold = 2;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   // 16 distinct values > CodeCacheSigLimit (8): the cache fills its 8
   // slots, then the function gets one generic fallback; the 8 cached
   // signatures keep serving their values.
@@ -197,9 +200,10 @@ TEST(CodeCacheEngine, SignatureCapFallsBackToGenericButKeepsEntries) {
 
 TEST(CodeCacheEngine, BudgetEvictionStaysWithinBytes) {
   Runtime RT;
-  Engine E(RT, OptConfig::all(), cacheKnobs(2048));
-  E.setCallThreshold(2);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = cacheKnobs(2048);
+  K.CallThreshold = 2;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   std::string Src;
   // Many hot functions, one value each: the 2KB budget cannot hold all
   // the bodies, so insertion evicts (while each body alone fits).
@@ -219,10 +223,11 @@ TEST(CodeCacheEngine, BudgetEvictionStaysWithinBytes) {
 
 TEST(CodeCacheEngine, DespecializationInvalidatesEntries) {
   Runtime RT;
-  Engine E(RT, OptConfig::all(), cacheKnobs(1 << 20));
-  E.setCallThreshold(2);
-  E.setLoopThreshold(100000);
-  E.setBailoutLimit(2);
+  EngineKnobs K = cacheKnobs(1 << 20);
+  K.CallThreshold = 2;
+  K.LoopThreshold = 100000;
+  K.BailoutLimit = 2;
+  Engine E(RT, OptConfig::all(), K);
   // f compiles specialized on an int, then a string argument bails out
   // the int-typed body repeatedly until the bailout limit discards it
   // and invalidates the function's cache entries.
@@ -245,10 +250,10 @@ TEST(CodeCacheEngine, DrainModeEvictionUnderBackgroundCompiles) {
   // drain mode (deterministic trigger points), tiny budget so installs
   // of freshly compiled cache bodies evict concurrently living ones.
   Runtime RT;
-  Engine E(RT, OptConfig::all(),
-           cacheKnobs(4096, /*Threads=*/2, /*Drain=*/true));
-  E.setCallThreshold(2);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = cacheKnobs(4096, /*Threads=*/2, /*Drain=*/true);
+  K.CallThreshold = 2;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   std::string Src;
   for (int F = 0; F < 8; ++F)
     Src += "function h" + std::to_string(F) + "(x) { return x * 5 + " +
@@ -276,8 +281,9 @@ TEST(CodeCacheEngine, DisabledCacheMatchesLegacyPolicy) {
   std::string OutOff, OutOn;
   {
     Runtime RT;
-    Engine E(RT, OptConfig::all(), cacheKnobs(0));
-    E.setCallThreshold(4);
+    EngineKnobs K = cacheKnobs(0);
+    K.CallThreshold = 4;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(Src);
     ASSERT_FALSE(RT.hasError());
     EXPECT_EQ(E.codeCache()->budgetBytes(), 0u);
@@ -286,8 +292,9 @@ TEST(CodeCacheEngine, DisabledCacheMatchesLegacyPolicy) {
   }
   {
     Runtime RT;
-    Engine E(RT, OptConfig::all(), cacheKnobs(1 << 20));
-    E.setCallThreshold(4);
+    EngineKnobs K = cacheKnobs(1 << 20);
+    K.CallThreshold = 4;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(Src);
     ASSERT_FALSE(RT.hasError());
     EXPECT_EQ(E.stats().Despecializations, 0u);

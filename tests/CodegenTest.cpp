@@ -194,8 +194,9 @@ TEST(Codegen, DisassemblerProducesText) {
 TEST(Executor, EnvironmentCreationAtEntry) {
   // A JIT-compiled function that creates closures over its parameter.
   Runtime RT;
-  Engine E(RT, OptConfig::baseline());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::baseline(), K);
   RT.evaluate("function make(k) { return function() { return k; }; }"
               "var fs = [];"
               "for (var i = 0; i < 20; i++) fs.push(make(i));"
@@ -207,8 +208,9 @@ TEST(Executor, EnvironmentCreationAtEntry) {
 
 TEST(Executor, MathIntrinsicsMatchBuiltins) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 2;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(
       "function f(x) { return Math.sqrt(x) + Math.abs(0 - x) +"
       " Math.pow(x, 2) + Math.floor(x / 3); }"

@@ -4,7 +4,8 @@
 /// The Section 4 policy in detail: threshold behavior, the one-cached-
 /// argument-set rule, never-respecializing after a deopt, OSR slot
 /// revalidation, bailout-limit code discarding, and the per-function
-/// reports that feed the paper's tables.
+/// reports that feed the paper's tables; and how EngineKnobs is read from
+/// the environment and clamped by the engine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,14 +14,90 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <thread>
+
 using namespace jitvs;
 
 namespace {
 
+/// Sets one environment variable for its scope, then restores the value
+/// it had (or its absence).
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    setenv(Name, Value, 1);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name, Saved->c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
+
+TEST(EngineKnobs, FromEnvironmentReadsEachVariable) {
+  {
+    ScopedEnv E("JITVS_TIER_POLICY", "tiered");
+    EXPECT_EQ(EngineKnobs::fromEnvironment().Policy, TierPolicy::Tiered);
+  }
+  {
+    ScopedEnv E("JITVS_TIER_VALUE_MAX", "3");
+    EXPECT_EQ(EngineKnobs::fromEnvironment().ValueStabilityMax, 3u);
+  }
+  {
+    ScopedEnv E("JITVS_FUSION", "off");
+    EXPECT_FALSE(EngineKnobs::fromEnvironment().Fusion);
+  }
+  {
+    ScopedEnv E("JITVS_COMPILE_THREADS", "2");
+    EXPECT_EQ(EngineKnobs::fromEnvironment().CompileThreads, 2u);
+  }
+  {
+    ScopedEnv E("JITVS_COMPILE_THREADS", "auto");
+    unsigned HW = std::thread::hardware_concurrency();
+    EXPECT_EQ(EngineKnobs::fromEnvironment().CompileThreads,
+              HW > 1 ? HW - 1 : 1u);
+  }
+  {
+    ScopedEnv E("JITVS_COMPILE_DRAIN", "1");
+    EXPECT_TRUE(EngineKnobs::fromEnvironment().CompileDrain);
+  }
+  {
+    ScopedEnv E("JITVS_CODE_CACHE_BYTES", "4096");
+    EXPECT_EQ(EngineKnobs::fromEnvironment().CodeCacheBytes, 4096u);
+  }
+  {
+    // Out-of-range values leave the defaults.
+    ScopedEnv V("JITVS_TIER_VALUE_MAX", "0");
+    ScopedEnv T("JITVS_COMPILE_THREADS", "-1");
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    EXPECT_EQ(K.ValueStabilityMax, EngineKnobs().ValueStabilityMax);
+    EXPECT_EQ(K.CompileThreads, EngineKnobs().CompileThreads);
+  }
+}
+
+TEST(EngineKnobs, EngineClampsCacheDepth) {
+  Runtime RT;
+  EngineKnobs K;
+  K.CacheDepth = 0;
+  Engine E(RT, OptConfig::all(), K);
+  EXPECT_EQ(E.knobs().CacheDepth, 1u);
+}
+
 TEST(Policy, ColdFunctionsStayInterpreted) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(100);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 100;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x + 1; }"
               "for (var i = 0; i < 50; i++) f(1);");
   ASSERT_FALSE(RT.hasError());
@@ -30,9 +107,10 @@ TEST(Policy, ColdFunctionsStayInterpreted) {
 
 TEST(Policy, HotFunctionCompilesOnce) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(10);
-  E.setLoopThreshold(100000); // Keep top-level code out of the JIT.
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 10;
+  K.LoopThreshold = 100000; // Keep top-level code out of the JIT.
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x + 1; }"
               "for (var i = 0; i < 100; i++) f(7);");
   ASSERT_FALSE(RT.hasError());
@@ -43,8 +121,9 @@ TEST(Policy, HotFunctionCompilesOnce) {
 
 TEST(Policy, NeverRespecializesAfterDeopt) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(5);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x * 2; }"
               "for (var i = 0; i < 10; i++) f(1);" // Specialize on 1.
               "f(2);"                              // Deopt -> generic.
@@ -60,8 +139,9 @@ TEST(Policy, NeverRespecializesAfterDeopt) {
 
 TEST(Policy, CacheKeyIncludesArgCount) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(a, b) { return a; }"
               "for (var i = 0; i < 10; i++) f(1, 2);"
               "f(1);" // Same leading arg, different arity: must deopt.
@@ -72,8 +152,9 @@ TEST(Policy, CacheKeyIncludesArgCount) {
 
 TEST(Policy, ObjectIdentityIsTheCacheKey) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function len(a) { return a.length; }"
               "var arr = [1, 2, 3];"
               "for (var i = 0; i < 20; i++) len(arr);" // One identity.
@@ -85,8 +166,9 @@ TEST(Policy, ObjectIdentityIsTheCacheKey) {
 
 TEST(Policy, StringContentIsTheCacheKey) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function h(s) { return s.length; }"
               "for (var i = 0; i < 20; i++) h('ab' + 'c');"
               "print('ok');");
@@ -98,8 +180,9 @@ TEST(Policy, StringContentIsTheCacheKey) {
 
 TEST(Policy, OsrRevalidatesBakedSlots) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setLoopThreshold(40);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.LoopThreshold = 40;
+  Engine E(RT, OptConfig::all(), K);
   // The loop gets OSR-compiled inside the first call with n=200; the
   // second call enters the same loop with different slot values, which
   // must not reuse the baked OSR constants blindly.
@@ -119,9 +202,10 @@ TEST(Policy, OsrRevalidatesBakedSlots) {
 
 TEST(Policy, BailoutLimitDiscardsCode) {
   Runtime RT;
-  Engine E(RT, OptConfig::baseline());
-  E.setCallThreshold(3);
-  E.setBailoutLimit(4);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.BailoutLimit = 4;
+  Engine E(RT, OptConfig::baseline(), K);
   // int32 feedback, then persistent double arguments: each call bails
   // until the limit discards the code; the recompile uses the refreshed
   // feedback and stops bailing.
@@ -139,8 +223,9 @@ TEST(Policy, BailoutLimitDiscardsCode) {
 
 TEST(Policy, FunctionReportsClassifyOutcomes) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function stable(x) { return x + 1; }"
               "function flaky(x) { return x * 2; }"
               "for (var i = 0; i < 10; i++) { stable(5); flaky(5); }"
@@ -170,8 +255,9 @@ TEST(Policy, FunctionReportsClassifyOutcomes) {
 
 TEST(Policy, GenericConfigNeverSpecializes) {
   Runtime RT;
-  Engine E(RT, OptConfig::baseline());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::baseline(), K);
   RT.evaluate("function f(x) { return x + 1; }"
               "for (var i = 0; i < 30; i++) f(1);");
   ASSERT_FALSE(RT.hasError());
@@ -182,9 +268,10 @@ TEST(Policy, GenericConfigNeverSpecializes) {
 
 TEST(Policy, CacheDepthTwoKeepsBothSpecializations) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setCacheDepth(2); // The paper's future-work heuristic.
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.CacheDepth = 2; // The paper's future-work heuristic.
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x * 2; }"
               "for (var i = 0; i < 20; i++) f(5);"   // First slot.
               "for (var i = 0; i < 20; i++) f(9);"   // Second slot.
@@ -198,9 +285,10 @@ TEST(Policy, CacheDepthTwoKeepsBothSpecializations) {
 
 TEST(Policy, CacheDepthTwoStillDeoptsOnThirdSet) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setCacheDepth(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.CacheDepth = 2;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x * 2; }"
               "for (var i = 0; i < 10; i++) f(5);"
               "for (var i = 0; i < 10; i++) f(9);"
@@ -226,11 +314,12 @@ TEST(Policy, CacheDepthTwoDiscardsABailingSecondSlot) {
   Runtime Ref; // The interpreter alone.
   Ref.evaluate(Src);
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(1000000); // Keep top-level code interpreted.
-  E.setBailoutLimit(12);
-  E.setCacheDepth(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 1000000; // Keep top-level code interpreted.
+  K.BailoutLimit = 12;
+  K.CacheDepth = 2;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(Src);
   ASSERT_FALSE(RT.hasError());
   EXPECT_EQ(RT.output(), Ref.output());
@@ -243,9 +332,10 @@ TEST(Policy, LoopHeadDespecializationUnlinksEverySlot) {
   // objects) alive: the heap ends as small as with one slot.
   auto LiveObjectsAfter = [](uint32_t Depth) {
     Runtime RT;
-    Engine E(RT, OptConfig::all());
-    E.setCallThreshold(3);
-    E.setCacheDepth(Depth);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.CallThreshold = 3;
+    K.CacheDepth = Depth;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate("function f(o) { var s = 0;"
                 "  for (var i = 0; i < o.n; i++) s = s + i; return s; }"
                 "var a = {n: 5};"
@@ -265,10 +355,31 @@ TEST(Policy, LoopHeadDespecializationUnlinksEverySlot) {
   EXPECT_EQ(LiveObjectsAfter(2), LiveObjectsAfter(1));
 }
 
+TEST(Policy, ReloadedProgramsRunTheirOwnCode) {
+  // One Runtime loads program after program, each with its own f. The
+  // engine keys its state and table by FunctionInfo address, so an
+  // earlier program's f must stay allocated: were its address reused,
+  // the new f would dispatch the old f's specialized binary.
+  Runtime RT;
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 2;
+  Engine E(RT, OptConfig::all(), K);
+  std::string Expected;
+  for (int I = 0; I != 60; ++I) {
+    RT.evaluate("function f(x) { return x + " + std::to_string(I) + "; }"
+                "var r; for (var i = 0; i < 20; i++) r = f(5); print(r);");
+    ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
+    Expected += std::to_string(5 + I) + "\n";
+  }
+  EXPECT_EQ(RT.output(), Expected);
+  EXPECT_EQ(E.stats().SpecializedCompiles, 60u);
+}
+
 TEST(Policy, CompileTimeIsAccounted) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 2;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { var s = 0;"
               "  for (var i = 0; i < x; i++) s += i; return s; }"
               "for (var i = 0; i < 10; i++) f(50);");

@@ -36,8 +36,7 @@ const DispatchMode BothModes[] = {DispatchMode::Switch, DispatchMode::Goto};
 ExecResult runCode(const NativeCode &Code, std::vector<Value> Args,
                    DispatchMode Mode) {
   Runtime RT;
-  Executor Exec(RT);
-  Exec.setDispatchMode(Mode);
+  Executor Exec(RT, Mode);
   return Exec.run(Code, Value::undefined(), Args.data(), Args.size(),
                   /*AtOsr=*/false, nullptr, 0, nullptr, nullptr);
 }
@@ -389,8 +388,7 @@ TEST(Fusion, CodegenOutputFusesAndStillComputes) {
   EXPECT_EQ(Code->sizeInInstructions(), SizeBefore);
 
   for (DispatchMode Mode : BothModes) {
-    Executor Exec(T.RT);
-    Exec.setDispatchMode(Mode);
+    Executor Exec(T.RT, Mode);
     Value Arg = Value::int32(10);
     ExecResult R = Exec.run(*Code, Value::undefined(), &Arg, 1,
                             /*AtOsr=*/false, nullptr, 0, nullptr, nullptr);
@@ -408,8 +406,7 @@ TEST(Fusion, BailoutAtFusedGuardReconstructsFrame) {
   ASSERT_GE(fuseMacroOps(*Code), 1u);
 
   for (DispatchMode Mode : BothModes) {
-    Executor Exec(T.RT);
-    Exec.setDispatchMode(Mode);
+    Executor Exec(T.RT, Mode);
     Value Big = Value::int32(2000000000);
     ExecResult R = Exec.run(*Code, Value::undefined(), &Big, 1,
                             /*AtOsr=*/false, nullptr, 0, nullptr, nullptr);
@@ -442,10 +439,11 @@ TEST(Fusion, EngineLevelBailoutMatchesInterpreter) {
 
   for (DispatchMode Mode : BothModes) {
     Runtime RT;
-    Engine E(RT, OptConfig::all());
-    E.setCallThreshold(3);
-    E.setFusion(true);
-    E.setDispatchMode(Mode);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.CallThreshold = 3;
+    K.Fusion = true;
+    K.Dispatch = Mode;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(Source);
     ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
     EXPECT_EQ(RT.output(), Interp.output());
@@ -481,9 +479,10 @@ TEST_P(FusionDifferential, SuiteMatchesInterpreter) {
     };
     for (const Config &C : Configs) {
       Runtime RT;
-      Engine E(RT, OptConfig::all());
-      E.setFusion(C.Fusion);
-      E.setDispatchMode(C.Mode);
+      EngineKnobs K = EngineKnobs::fromEnvironment();
+      K.Fusion = C.Fusion;
+      K.Dispatch = C.Mode;
+      Engine E(RT, OptConfig::all(), K);
       RT.evaluate(W.Source);
       ASSERT_FALSE(RT.hasError())
           << W.Name << " [" << C.Desc << "]: " << RT.errorMessage();

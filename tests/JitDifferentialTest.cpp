@@ -216,9 +216,10 @@ std::string runInterpreterOnly(const char *Source) {
 
 std::string runWithConfig(const char *Source, const OptConfig &Config) {
   Runtime RT;
-  Engine E(RT, Config);
-  E.setCallThreshold(5);
-  E.setLoopThreshold(50);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  K.LoopThreshold = 50;
+  Engine E(RT, Config, K);
   RT.evaluate(Source);
   EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
   return RT.output();
@@ -268,9 +269,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(JitEngine, ActuallyCompiles) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(5);
-  E.setLoopThreshold(50);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  K.LoopThreshold = 50;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(Programs[0].Source);
   ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
   EXPECT_GT(E.stats().Compilations, 0u);
@@ -279,8 +281,9 @@ TEST(JitEngine, ActuallyCompiles) {
 
 TEST(JitEngine, SpecializationCacheHits) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(5);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(a) { return a + 1; }"
               "var s = 0; for (var i = 0; i < 100; i++) s += f(41);"
               "print(s);");
@@ -292,8 +295,9 @@ TEST(JitEngine, SpecializationCacheHits) {
 
 TEST(JitEngine, DespecializesOnDifferentArgs) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(5);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(a) { return a * 2; }"
               "var s = 0;"
               "for (var i = 0; i < 20; i++) s += f(5);"
@@ -308,8 +312,9 @@ TEST(JitEngine, DespecializesOnDifferentArgs) {
 
 TEST(JitEngine, OsrEnters) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setLoopThreshold(50);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.LoopThreshold = 50;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("var s = 0;"
               "for (var i = 0; i < 5000; i++) s += i;"
               "print(s);");
@@ -320,8 +325,9 @@ TEST(JitEngine, OsrEnters) {
 
 TEST(JitEngine, BailoutsResumeCorrectly) {
   Runtime RT;
-  Engine E(RT, OptConfig::baseline());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::baseline(), K);
   // Side effect before the overflowing op: print(a) runs, then a*a
   // overflows in native code; the bailout must not re-run print(a).
   RT.evaluate("function f(a) { print(a); return a * a; }"
@@ -342,9 +348,10 @@ TEST(JitEngine, GCDuringNativeExecution) {
   // old-space threshold then forces majors through promotion pressure.
   RT.heap().setGCStress(true);
   RT.heap().setGCThreshold(128);
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(30);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 30;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function build(n) { var a = [];"
               "  for (var i = 0; i < n; i++) a.push('v' + i);"
               "  return a; }"

@@ -209,9 +209,11 @@ TEST_F(MetricsTest, UnbalancedExitsAreDropped) {
 
 TEST_F(MetricsTest, FunctionProfilesMergeAndSort) {
   metrics().enable();
-  metrics().functionTick("hot");
-  metrics().functionTick("hot");
-  metrics().functionTick("cold");
+  Metrics::FunctionMetrics Tick;
+  Tick.Ticks = 1;
+  metrics().mergeFunction("hot", Tick);
+  metrics().mergeFunction("hot", Tick);
+  metrics().mergeFunction("cold", Tick);
 
   Metrics::FunctionMetrics Delta;
   Delta.Compiles = 2;
@@ -244,10 +246,10 @@ TEST_F(MetricsTest, JsonSnapshotRoundTrips) {
   metrics().recordPass("GVN", 1500);
   metrics().enterPhase(Phase::Compile);
   metrics().exitPhase(Phase::Compile);
-  metrics().functionTick("f \"quoted\"\n"); // Escaping must survive.
   Metrics::FunctionMetrics Delta;
+  Delta.Ticks = 1;
   Delta.Bailouts = 1;
-  metrics().mergeFunction("f \"quoted\"\n", Delta);
+  metrics().mergeFunction("f \"quoted\"\n", Delta); // Escaping must survive.
 
   std::ostringstream SS;
   metrics().writeJson(SS);
@@ -304,10 +306,12 @@ TEST_F(MetricsTest, PrometheusExposition) {
 
 TEST_F(MetricsTest, ScriptRunPopulatesPhasesAndTicks) {
   metrics().enable();
-  Runtime RT;
-  RT.evaluate("function f(x) { return x + 1; }"
-              "var s = 0; for (var i = 0; i < 10; i++) s = f(s);");
-  ASSERT_FALSE(RT.hasError());
+  {
+    Runtime RT;
+    RT.evaluate("function f(x) { return x + 1; }"
+                "var s = 0; for (var i = 0; i < 10; i++) s = f(s);");
+    ASSERT_FALSE(RT.hasError());
+  } // Ticks are folded in when the Runtime goes away.
   EXPECT_EQ(metrics().phase(Phase::Script).Count, 1u);
   EXPECT_GE(metrics().phase(Phase::Interpret).Count, 1u);
   ASSERT_TRUE(metrics().functions().count("f"));

@@ -124,8 +124,7 @@ TEST(NativeBailSite, UnfusedGuardReportsItsOwnSlot) {
       Code.FrameSize = NumPhysRegs + 2; // Two spill slots ride along.
       std::vector<Value> Args = Case.Args(RT, Code);
 
-      Executor Exec(RT);
-      Exec.setDispatchMode(Mode);
+      Executor Exec(RT, Mode);
       ExecResult Res = Exec.run(Code, Value::undefined(), Args.data(),
                                 Args.size(), /*AtOsr=*/false, nullptr, 0,
                                 nullptr, nullptr);

@@ -58,9 +58,10 @@ TEST(NativeFrameReuse, StaleRegistersAreNeverTraced) {
   Runtime RT;
   RT.heap().setGCStress(true);
   RT.heap().setGCThreshold(64);
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(10);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 10;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(Source);
   ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
   EXPECT_EQ(RT.output(), Ref.Output);
@@ -99,9 +100,10 @@ TEST(NativeFrameReuse, BailoutThenNativeCallAtSameDepth) {
   ASSERT_EQ(Ref.Error, "");
 
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(10);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 10;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(Source);
   ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
   EXPECT_EQ(RT.output(), Ref.Output);
@@ -140,8 +142,9 @@ TEST(NativeFrameReuse, RecursionErrorUnwindsEveryFrame) {
   ASSERT_NE(Ref.find("recursion"), std::string::npos) << Ref;
 
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 2;
+  Engine E(RT, OptConfig::all(), K);
   EXPECT_EQ(Transcript(RT), Ref);
   EXPECT_GT(E.stats().NativeCalls, 1024u);
 }

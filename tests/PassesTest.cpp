@@ -236,10 +236,11 @@ TEST(DeadCodeElim, RemovesWrappingConditional) {
 
 /// Records each function's first call arguments: the values the paper
 /// policy specializes a function on.
-struct FirstArgs final : CallObserver {
-  void recordCall(FunctionInfo *Callee, const Value *Args,
-                  size_t NumArgs) override {
-    ByFunction.try_emplace(Callee, Args, Args + NumArgs);
+struct FirstArgs final : ExecutionHooks {
+  bool onCall(JSFunction *Callee, const Value &, const Value *Args,
+              size_t NumArgs, Value &) override {
+    ByFunction.try_emplace(Callee->info(), Args, Args + NumArgs);
+    return false;
   }
   std::unordered_map<FunctionInfo *, std::vector<Value>> ByFunction;
 };
@@ -257,11 +258,11 @@ TEST(DeadCodeElim, RemovesEveryAdmittedWrapperOnSuiteKernels) {
     RT.heap().setNurseryEnabled(false);
     RT.heap().setGCThreshold(SIZE_MAX);
     FirstArgs Observed;
-    RT.setCallObserver(&Observed);
+    RT.setHooks(&Observed);
     ASSERT_TRUE(RT.load(W.Source)) << W.Name;
     RT.run();
     ASSERT_FALSE(RT.hasError()) << W.Name << ": " << RT.errorMessage();
-    RT.setCallObserver(nullptr);
+    RT.setHooks(nullptr);
 
     for (size_t FI = 0; FI != RT.program()->numFunctions(); ++FI) {
       FunctionInfo *F = RT.program()->function(static_cast<uint32_t>(FI));

@@ -14,7 +14,7 @@ namespace {
 TEST(CallProfiler, CountsCallsAndArgSets) {
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate("function once() { return 1; }"
               "function thrice(x) { return x; }"
               "once();"
@@ -32,7 +32,7 @@ TEST(CallProfiler, CountsCallsAndArgSets) {
 TEST(CallProfiler, ObjectsCountByIdentity) {
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate("function f(o) { return o; }"
               "var a = {k: 1};"
               "f(a); f(a);"          // Same identity: one arg set.
@@ -46,7 +46,7 @@ TEST(CallProfiler, ObjectsCountByIdentity) {
 TEST(CallProfiler, StringsCountByContent) {
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate("function f(s) { return s; }"
               "f('ab'); f('a' + 'b');"); // Distinct objects, same content.
   ASSERT_FALSE(RT.hasError());
@@ -56,7 +56,7 @@ TEST(CallProfiler, StringsCountByContent) {
 TEST(CallProfiler, HistogramFractionsSumToOne) {
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate("function a() {} function b() {} function c() {}"
               "a(); b(); b(); for (var i = 0; i < 40; i++) c();");
   ASSERT_FALSE(RT.hasError());
@@ -74,13 +74,13 @@ TEST(CallProfiler, UnitSeparation) {
   {
     Runtime RT;
     P.beginUnit();
-    RT.setCallObserver(&P);
+    RT.setHooks(&P);
     RT.evaluate("function f() {} f();");
   }
   {
     Runtime RT;
     P.beginUnit();
-    RT.setCallObserver(&P);
+    RT.setHooks(&P);
     RT.evaluate("function g() {} g(); g();");
   }
   EXPECT_EQ(P.numFunctions(), 2u);
@@ -90,7 +90,7 @@ TEST(CallProfiler, UnitSeparation) {
 TEST(CallProfiler, MonomorphicParamTypes) {
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate("function fi(x) { return x; }"
               "function fs(x) { return x; }"
               "function poly(x) { return x; }"
@@ -121,7 +121,7 @@ TEST(WebSession, ReproducesPaperHeadlineFractions) {
   Model.NumFunctions = 1200;
   Runtime RT;
   CallProfiler P;
-  RT.setCallObserver(&P);
+  RT.setHooks(&P);
   RT.evaluate(generateWebSessionProgram(Model, 99));
   ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
   // The paper: 48.88% called once; 59.91% single argument set.

@@ -31,9 +31,10 @@ std::string interp(const std::string &Source) {
 std::string both(const std::string &Source) {
   std::string A = interp(Source);
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(30);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 30;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate(Source);
   EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
   EXPECT_EQ(A, RT.output());
@@ -212,9 +213,10 @@ TEST(OsrEdge, InvertedLoopShimReTestsCondition) {
   OnlyInversion.LoopInversion = true;
   for (const OptConfig &Cfg : {OnlyInversion, OptConfig::all()}) {
     Runtime RT;
-    Engine E(RT, Cfg);
-    E.setCallThreshold(3);
-    E.setLoopThreshold(20);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.CallThreshold = 3;
+    K.LoopThreshold = 20;
+    Engine E(RT, Cfg, K);
     RT.evaluate(Source);
     EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
     EXPECT_EQ(Reference, RT.output());
@@ -252,9 +254,10 @@ TEST(OsrEdge, NestedLoopsWithOneRotatedLoop) {
   OnlyInversion.LoopInversion = true;
   for (const OptConfig &Cfg : {OnlyInversion, OptConfig::all()}) {
     Runtime RT;
-    Engine E(RT, Cfg);
-    E.setCallThreshold(3);
-    E.setLoopThreshold(20);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.CallThreshold = 3;
+    K.LoopThreshold = 20;
+    Engine E(RT, Cfg, K);
     RT.evaluate(Source);
     EXPECT_FALSE(RT.hasError()) << RT.errorMessage();
     EXPECT_EQ(Reference, RT.output()) << Cfg.describe();
@@ -436,8 +439,9 @@ TEST(ThisEdge, MethodsAndPlainCalls) {
 
 TEST(ErrorEdge, PropagatesThroughJitFrames) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function inner(o) { return o.x; }"
               "function outer(o) { return inner(o) + 1; }"
               "for (var i = 0; i < 20; i++) outer({x: 1});"
@@ -448,8 +452,9 @@ TEST(ErrorEdge, PropagatesThroughJitFrames) {
 
 TEST(ErrorEdge, RecursionGuardInNativeCode) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(2);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 2;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(n) { return f(n + 1); }"
               "f(0);");
   EXPECT_TRUE(RT.hasError());
@@ -471,9 +476,10 @@ TEST(GCEdge, CollectionsDuringJitWithClosures) {
   // old-space threshold then forces majors through promotion pressure.
   RT.heap().setGCStress(true);
   RT.heap().setGCThreshold(64);
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(30);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 30;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function mk(tag) { return function(i) {"
               "  return tag + ':' + i; }; }"
               "var out = [];"

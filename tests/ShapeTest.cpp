@@ -170,9 +170,10 @@ TEST(ShapeEndToEnd, ShapeGuardBailoutDespecializes) {
   for (bool ShapesOn : {true, false}) {
     Runtime RT;
     RT.setShapesEnabled(ShapesOn);
-    Engine E(RT, OptConfig::all());
-    E.setCallThreshold(3);
-    E.setLoopThreshold(30);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.CallThreshold = 3;
+    K.LoopThreshold = 30;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(Source);
     ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
     EXPECT_EQ(RT.output(), Expected) << "shapes=" << ShapesOn;

@@ -375,8 +375,9 @@ TEST_F(TelemetryTest, EngineRunEmitsCompilePassAndBailoutEvents) {
   telemetry().configure(TelAll, 4096);
 
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  Engine E(RT, OptConfig::all(), K);
   // f compiles hot (specialized on 3), then overflows on a huge operand:
   // a compile, per-pass metrics, and an int-overflow bailout must all
   // surface as events.
@@ -430,9 +431,10 @@ TEST_F(TelemetryTest, EngineRunEmitsCompilePassAndBailoutEvents) {
 TEST_F(TelemetryTest, StatsReasonCountersSumToTotal) {
   // Telemetry disabled: the per-reason stats must work regardless.
   Runtime RT;
-  Engine E(RT, OptConfig::baseline());
-  E.setCallThreshold(3);
-  E.setBailoutLimit(4);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.BailoutLimit = 4;
+  Engine E(RT, OptConfig::baseline(), K);
   // Int feedback then double arguments: type-guard bailouts.
   RT.evaluate("function f(x) { return x + 1; }"
               "for (var i = 0; i < 10; i++) f(1);"
@@ -450,9 +452,10 @@ TEST_F(TelemetryTest, StatsReasonCountersSumToTotal) {
 
 TEST_F(TelemetryTest, FunctionReportsCarryBailoutsCacheHitsAndCause) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(3);
-  E.setLoopThreshold(100000); // Keep top-level code interpreted.
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 3;
+  K.LoopThreshold = 100000; // Keep top-level code interpreted.
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x * 2; }"
               "for (var i = 0; i < 10; i++) f(1);" // Specialize, hit cache.
               "f(2);"                              // Despecialize.

@@ -24,20 +24,22 @@ namespace {
 /// Engine with thresholds tuned so only user functions JIT (top-level
 /// loops stay interpreted and out of the stats).
 struct TieredFixture {
-  Runtime RT;
-  Engine E{RT, OptConfig::all()};
-
-  TieredFixture() {
-    E.setTierPolicy(TierPolicy::Tiered);
-    E.setCallThreshold(5);
-    E.setLoopThreshold(100000);
+  static EngineKnobs knobs() {
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.Policy = TierPolicy::Tiered;
+    K.CallThreshold = 5;
+    K.LoopThreshold = 100000;
+    return K;
   }
+
+  Runtime RT;
+  Engine E{RT, OptConfig::all(), knobs()};
 };
 
 TEST(TierPolicy, DefaultPolicyIsPaper) {
   Runtime RT;
   Engine E(RT, OptConfig::all());
-  EXPECT_EQ(E.tierPolicy(), TierPolicy::Paper);
+  EXPECT_EQ(E.knobs().Policy, TierPolicy::Paper);
 }
 
 TEST(TierPolicy, ValueMismatchDemotesToTypeTier) {
@@ -200,9 +202,10 @@ TEST(TierPolicy, HitSplitSumsToCacheHits) {
 
 TEST(TierPolicy, PaperModeCountsAllHitsAsValueTier) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setCallThreshold(5);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.CallThreshold = 5;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function f(x) { return x + 1; }"
               "for (var i = 0; i < 30; i++) f(1);");
   ASSERT_FALSE(RT.hasError());
@@ -239,9 +242,10 @@ TEST(TierPolicy, DifferentialFlippingClosure) {
 
   for (TierPolicy P : {TierPolicy::Paper, TierPolicy::Tiered}) {
     Runtime RT;
-    Engine E(RT, OptConfig::all());
-    E.setTierPolicy(P);
-    E.setCallThreshold(5);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.Policy = P;
+    K.CallThreshold = 5;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(FlippingClosureSrc);
     ASSERT_FALSE(RT.hasError()) << tierPolicyName(P);
     EXPECT_EQ(RT.output(), Ref.output()) << tierPolicyName(P);
@@ -266,10 +270,11 @@ TEST(TierPolicy, DifferentialTypeFlip) {
   ASSERT_FALSE(Ref.hasError());
   for (TierPolicy P : {TierPolicy::Paper, TierPolicy::Tiered}) {
     Runtime RT;
-    Engine E(RT, OptConfig::all());
-    E.setTierPolicy(P);
-    E.setCallThreshold(5);
-    E.setLoopThreshold(100000);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.Policy = P;
+    K.CallThreshold = 5;
+    K.LoopThreshold = 100000;
+    Engine E(RT, OptConfig::all(), K);
     RT.evaluate(Src);
     ASSERT_FALSE(RT.hasError()) << tierPolicyName(P);
     EXPECT_EQ(RT.output(), Ref.output()) << tierPolicyName(P);
@@ -280,10 +285,11 @@ TEST(TierPolicy, DifferentialTypeFlip) {
 
 TEST(TierPolicy, StartsUnstableParamAtTypeTier) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setTierPolicy(TierPolicy::Tiered);
-  E.setCallThreshold(32); // Let warm-up see the value churn first.
-  E.setLoopThreshold(100000);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.Policy = TierPolicy::Tiered;
+  K.CallThreshold = 32; // Let warm-up see the value churn first.
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function g(x) { return x + 1; }"
               "var s = 0;"
               "for (var i = 0; i < 200; i++) s = g(i);"
@@ -300,10 +306,11 @@ TEST(TierPolicy, StartsUnstableParamAtTypeTier) {
 
 TEST(TierPolicy, KeepsStableParamAtValueTier) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setTierPolicy(TierPolicy::Tiered);
-  E.setCallThreshold(32);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.Policy = TierPolicy::Tiered;
+  K.CallThreshold = 32;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function g(x) { return x + 1; }"
               "var s = 0;"
               "for (var i = 0; i < 200; i++) s = g(5);"
@@ -317,10 +324,11 @@ TEST(TierPolicy, KeepsStableParamAtValueTier) {
 
 TEST(TierPolicy, SkipsLadderForMixedTagParam) {
   Runtime RT;
-  Engine E(RT, OptConfig::all());
-  E.setTierPolicy(TierPolicy::Tiered);
-  E.setCallThreshold(32);
-  E.setLoopThreshold(100000);
+  EngineKnobs K = EngineKnobs::fromEnvironment();
+  K.Policy = TierPolicy::Tiered;
+  K.CallThreshold = 32;
+  K.LoopThreshold = 100000;
+  Engine E(RT, OptConfig::all(), K);
   RT.evaluate("function g(x) { return x + 1; }"
               "var s = 0;"
               "for (var i = 0; i < 200; i++) {"

@@ -61,8 +61,9 @@ bool runProgram(const std::string &Source, const char *Label, bool Jit,
   Runtime RT;
   std::unique_ptr<Engine> E;
   if (Jit) {
-    E = std::make_unique<Engine>(RT, OptConfig::all());
-    E->setTierPolicy(Policy);
+    EngineKnobs K = EngineKnobs::fromEnvironment();
+    K.Policy = Policy;
+    E = std::make_unique<Engine>(RT, OptConfig::all(), K);
   }
   RT.evaluate(Source);
   if (RT.hasError()) {
