@@ -1057,6 +1057,13 @@ void Engine::publishMetrics() {
   M.setGauge("engine.code_cache.budget_bytes",
              static_cast<double>(Cache.budgetBytes()));
   M.setGauge("engine.code_cache.entries", static_cast<double>(Cache.size()));
+  // Zero unless the executor counts (JITVS_DISPATCH=count).
+  const auto &Counts = Exec.dispatchCounts();
+  for (size_t I = 0; I != NumNOps; ++I)
+    if (Counts[I])
+      M.addCounter(std::string("native.dispatch.") +
+                       nopName(static_cast<NOp>(I)),
+                   Counts[I]);
 
   for (const auto &[Info, FS] : States) {
     const FunctionReport &R = FS.Report;

@@ -1,4 +1,33 @@
 //===- lir/Codegen.cpp - Lowering, regalloc, emission ----------------------===//
+//
+// MIR is lowered in reverse postorder to virtual-register LIR, then
+// allocated by linear scan on live ranges with lifetime holes (Wimmer &
+// Franz, "Linear Scan Register Allocation on SSA Form", CGO 2010), but
+// without interval splitting:
+//
+//  - Liveness: per-block bit vectors over vregs solved to a fixed point,
+//    then per-vreg ranges as sorted segments with holes.
+//  - Coalescing: a Mov whose two ends have disjoint ranges merges them
+//    into one group; a move whose ends share a location emits nothing.
+//    Phi moves and cycle temporaries go this way; tag checks and generic
+//    stores never copy in the first place (their result is their
+//    operand, see resolve).
+//  - Allocation: whole groups, in order of start, with active and
+//    inactive sets, so a register is free inside another group's hole.
+//    When none is free, the group(s) with the lowest loop-weighted use
+//    density are evicted to a spill slot. Each group keeps one location
+//    for its whole life, which keeps snapshots, stack maps, RegsAtBail
+//    and FrameSize meaning what they always meant.
+//  - Constants: one vreg per block, or per loop with its LoadConst
+//    before the loop. Constants are allocated last, into registers
+//    nobody else needs there; one that gets none is never spilled, but
+//    reloaded from the pool right before each use.
+//
+// A def may take the register of a value that dies at the same
+// instruction, so every handler reads its operands before it writes A
+// and bails before any write (native/DispatchLoop.inc).
+//
+//===----------------------------------------------------------------------===//
 
 #include "lir/Codegen.h"
 
@@ -7,8 +36,8 @@
 #include "vm/Bytecode.h"
 
 #include <algorithm>
+#include <iterator>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 using namespace jitvs;
@@ -215,18 +244,118 @@ void splitCriticalEdges(MIRGraph &Graph) {
   }
 }
 
+bool isCallOp(NOp O) {
+  return O == NOp::CallV || O == NOp::CallM || O == NOp::CallT ||
+         O == NOp::NewCall;
+}
+
+/// Calls \p Fn(vreg, IsOperand) for every vreg \p L reads: its register
+/// operands (IsOperand), then its snapshot's register entries, which
+/// only a bailout reads and which cost nothing when spilled.
+template <typename FnT>
+void forEachUse(const LIns &L, const std::vector<Snapshot> &Snapshots,
+                FnT Fn) {
+  OpInfo OI = opInfo(L.Op);
+  if (OI.AUse)
+    Fn(L.A, true);
+  if (OI.BUse)
+    Fn(L.B, true);
+  if (OI.CUse || mathFnHasSecondArg(L))
+    Fn(L.C, true);
+  if (OI.HasSnapshot)
+    for (const SnapshotEntry &E :
+         Snapshots[static_cast<size_t>(L.Imm)].Entries)
+      if (!E.IsConst)
+        Fn(E.Index, false);
+}
+
+/// A half-open span [From, To) of LIR positions. Instruction I reads its
+/// operands at 2I and writes its result at 2I+1, so a value that dies at
+/// I and the value I defines never overlap.
+struct Seg {
+  uint32_t From, To;
+};
+
+/// True when ascending, disjoint segment lists \p A and \p B share a
+/// position.
+bool intersects(const std::vector<Seg> &A, const std::vector<Seg> &B) {
+  size_t I = 0, J = 0;
+  while (I != A.size() && J != B.size()) {
+    if (A[I].To <= B[J].From)
+      ++I;
+    else if (B[J].To <= A[I].From)
+      ++J;
+    else
+      return true;
+  }
+  return false;
+}
+
+/// Merges \p B into \p A; the two lists must not intersect.
+void mergeInto(std::vector<Seg> &A, const std::vector<Seg> &B) {
+  std::vector<Seg> Out;
+  Out.reserve(A.size() + B.size());
+  std::merge(A.begin(), A.end(), B.begin(), B.end(), std::back_inserter(Out),
+             [](const Seg &X, const Seg &Y) { return X.From < Y.From; });
+  size_t W = 0;
+  for (size_t I = 0; I != Out.size(); ++I) {
+    if (W && Out[W - 1].To == Out[I].From)
+      Out[W - 1].To = Out[I].To;
+    else
+      Out[W++] = Out[I];
+  }
+  Out.resize(W);
+  A = std::move(Out);
+}
+
+/// Spill weight of one operand read or result write at loop depth D:
+/// an access inside a loop counts ten times one outside it.
+double accessWeight(unsigned D) {
+  static const double Pow10[] = {1, 10, 100, 1e3, 1e4, 1e5, 1e6};
+  return Pow10[std::min(D, 6u)];
+}
+
+/// Registers the allocator hands out; 13..15 stay spill scratch.
+constexpr int NumAllocatable = 13;
+constexpr uint32_t NoBlock = ~0u;
+
 class CodeGenerator {
 public:
-  CodeGenerator(MIRGraph &Graph) : Graph(Graph) {}
+  explicit CodeGenerator(MIRGraph &Graph) : Graph(Graph) {}
 
   std::unique_ptr<NativeCode> run(CodegenStats *Stats);
 
 private:
+  // --- Layout and loops ---
+  void analyzeLoops();
+  /// True when layout block \p B lies in the loop headed by layout block
+  /// \p Header.
+  bool inLoop(uint32_t B, uint32_t Header) const;
+  /// \p B's layout position, or NoBlock for a block outside the layout.
+  uint32_t layoutOf(const MBasicBlock *B) const {
+    return B->id() < LayoutOf.size() ? LayoutOf[B->id()] : NoBlock;
+  }
+
   // --- Lowering ---
-  uint32_t newVReg() { return NextVReg++; }
+  uint32_t newVReg() {
+    ConstPoolOf.push_back(-1);
+    return NextVReg++;
+  }
   uint32_t vregOf(MInstr *Def);
-  /// Operand use: materializes constants (per block).
+  /// The instruction whose value \p I's result is: the result of a tag
+  /// check (Unbox to a non-double tag, TypeBarrier) or of a generic
+  /// store is its operand's value, so it gets no register of its own.
+  static MInstr *resolve(MInstr *I);
+  /// Operand use. A constant is materialized once per block, or once per
+  /// loop (before the loop) inside a loop.
   uint32_t use(MInstr *Def);
+  /// The scope constants of the current block are cached in, plus one:
+  /// the block itself, or NumBlocks + its hoisting loop's header.
+  uint32_t constScopeTag() const {
+    uint32_t Loop = HoistScope[CurBlock];
+    return 1 + (Loop != NoBlock ? static_cast<uint32_t>(Order.size()) + Loop
+                                : CurBlock);
+  }
   /// Materializes both operands of a binary op in fusion-friendly order:
   /// a not-yet-materialized constant is evaluated last, so its LoadConst
   /// lands immediately before the consumer, and for \p Commutative ops a
@@ -244,80 +373,263 @@ private:
     Lir.push_back(L);
   }
   uint32_t snapshotFor(MResumePoint *RP);
-  void lowerBlock(MBasicBlock *B, MBasicBlock *Next);
+  void lowerBlock(uint32_t Idx);
   void lowerInstr(MInstr *I);
   void lowerPhiMoves(MBasicBlock *B, MBasicBlock *Succ);
-  int32_t blockMark(MBasicBlock *B) {
-    return static_cast<int32_t>(B->id());
-  }
+  int32_t blockMark(MBasicBlock *B) { return static_cast<int32_t>(B->id()); }
+  /// Places each loop's hoisted constants at the end of the blocks that
+  /// enter the loop, before their jumps.
+  void placeHoistedConstants();
 
   // --- Liveness & allocation ---
   void computeLiveness();
+  void coalesceMoves();
   void allocateRegisters();
+  uint32_t find(uint32_t V) {
+    while (Parent[V] != V)
+      V = Parent[V] = Parent[Parent[V]];
+    return V;
+  }
+  bool isConst(uint32_t V) const { return ConstPoolOf[V] >= 0; }
 
   // --- Final emission ---
+  /// True for a move whose ends share a location and for the def of a
+  /// constant that is rematerialized at its uses.
+  bool emitsNothing(const LIns &L);
   std::unique_ptr<NativeCode> emitFinal(CodegenStats *Stats);
 
   MIRGraph &Graph;
+  std::unique_ptr<NativeCode> Out;
+
+  // Layout (reverse postorder), everything indexed by layout position.
   std::vector<MBasicBlock *> Order;
+  std::vector<uint32_t> LayoutOf; ///< Block id -> layout position.
+  std::vector<std::vector<uint32_t>> Succs;
+  std::vector<uint32_t> LoopOf;     ///< Innermost loop header, or NoBlock.
+  std::vector<uint32_t> LoopParent; ///< Per header: enclosing header.
+  std::vector<uint8_t> Depth;       ///< Loop nesting depth.
+  /// Per block: the header of the innermost hoistable loop around it.
+  std::vector<uint32_t> HoistScope;
+  /// Per header: the constants materialized before the loop, as
+  /// (MInstr id, vreg) pairs.
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> LoopConsts;
+
+  // LIR, with per-block [BlockStart, next BlockStart) ranges; TailL is
+  // where a block's jumps begin.
   std::vector<LIns> Lir;
-  /// LIR index where each block's code begins (by block id).
-  std::unordered_map<uint32_t, uint32_t> BlockStartL;
-  /// Per-block ranges in LIR indices (by order position).
-  std::vector<std::pair<uint32_t, uint32_t>> BlockRangeL;
+  std::vector<uint32_t> BlockStart, TailL;
+  uint32_t CurBlock = 0;
 
   uint32_t NextVReg = 0;
-  std::unordered_map<MInstr *, uint32_t> VRegs;
-  std::unordered_map<MInstr *, uint32_t> BlockConstCache; // Keyed per block.
-  MBasicBlock *CurBlock = nullptr;
-
-  std::unique_ptr<NativeCode> Out;
+  std::vector<uint32_t> VRegOfId; ///< MInstr id -> vreg (or NoReg).
+  /// Per vreg: the constant pool index it materializes, or -1. Constant
+  /// vregs are never spilled: without a register, each use reloads.
+  std::vector<int32_t> ConstPoolOf;
+  /// Per MInstr id: the constScopeTag() whose vreg ConstVReg holds; 0 =
+  /// none.
+  std::vector<uint32_t> ConstScope, ConstVReg;
   std::unordered_map<MResumePoint *, uint32_t> SnapshotIds;
-  /// Snapshot register entries still holding vregs (rewritten after RA).
-  // (Entries are stored in Out->Snapshots with vreg indices.)
 
-  // Liveness.
-  struct Interval {
-    uint32_t VReg = 0;
-    uint32_t Start = ~0u;
-    uint32_t End = 0;
-    int Reg = -1;
-    int Slot = -1;
+  // Liveness: per-vreg segments (per coalesced group after coalescing),
+  // loop-weighted access counts, and the vregs live across each call.
+  std::vector<std::vector<Seg>> Ranges;
+  std::vector<double> Weight;
+  struct CallSite {
+    uint32_t Pos;
+    std::vector<uint32_t> Live;
   };
-  std::vector<Interval> Intervals;
-  std::vector<int> RegOf;  // vreg -> phys reg or -1
-  std::vector<int> SlotOf; // vreg -> spill slot or -1
-  uint32_t NumSpills = 0;
+  std::vector<CallSite> Calls;
+
+  // Allocation, per group root (find(vreg)).
+  std::vector<uint32_t> Parent;
+  std::vector<int> RegOf;  ///< Physical register or -1.
+  std::vector<int> SlotOf; ///< Spill slot or -1 (constants: never).
+  uint32_t NumSlots = 0;
 };
 
+void CodeGenerator::analyzeLoops() {
+  size_t NB = Order.size();
+  uint32_t MaxId = 0;
+  for (MBasicBlock *B : Order)
+    MaxId = std::max(MaxId, B->id());
+  LayoutOf.assign(MaxId + 1, NoBlock);
+  for (size_t I = 0; I != NB; ++I)
+    LayoutOf[Order[I]->id()] = static_cast<uint32_t>(I);
+  Succs.assign(NB, {});
+  for (size_t I = 0; I != NB; ++I)
+    for (size_t S = 0, E = Order[I]->numSuccessors(); S != E; ++S)
+      Succs[I].push_back(layoutOf(Order[I]->successor(S)));
+
+  LoopOf.assign(NB, NoBlock);
+  LoopParent.assign(NB, NoBlock);
+  Depth.assign(NB, 0);
+  // Per header: whether constants used in the loop are materialized
+  // before it (its entry has predecessors outside the loop to host them).
+  std::vector<uint8_t> Hoistable(NB, 0);
+  LoopConsts.assign(NB, {});
+  auto IsRoot = [this](const MBasicBlock *B) {
+    return B == Graph.entry() || B == Graph.osrBlock();
+  };
+
+  // Natural loops from the retreating edges of the layout. A latch whose
+  // backward walk escapes its header (it reaches an entry point or a
+  // block laid out before the header) closes no natural loop; such an
+  // edge is left alone, which only costs the loop weighting and hoisting.
+  std::vector<uint32_t> Mark(NB, NoBlock), Body, Work;
+  for (uint32_t H = 0; H != NB; ++H) {
+    Body.assign(1, H);
+    Mark[H] = H;
+    for (MBasicBlock *P : Order[H]->predecessors()) {
+      uint32_t Latch = layoutOf(P);
+      if (Latch == NoBlock || Latch < H)
+        continue;
+      size_t BodyBefore = Body.size();
+      bool Natural = true;
+      if (Mark[Latch] != H) {
+        Mark[Latch] = H;
+        Body.push_back(Latch);
+        Work.assign(1, Latch);
+      }
+      while (Natural && !Work.empty()) {
+        uint32_t X = Work.back();
+        Work.pop_back();
+        if (IsRoot(Order[X])) {
+          Natural = false;
+          break;
+        }
+        for (MBasicBlock *Q : Order[X]->predecessors()) {
+          uint32_t QI = layoutOf(Q);
+          if (QI == NoBlock || Mark[QI] == H)
+            continue;
+          if (QI < H) {
+            Natural = false;
+            break;
+          }
+          Mark[QI] = H;
+          Body.push_back(QI);
+          Work.push_back(QI);
+        }
+      }
+      Work.clear();
+      if (!Natural) {
+        for (size_t I = BodyBefore; I != Body.size(); ++I)
+          Mark[Body[I]] = NoBlock;
+        Body.resize(BodyBefore);
+      }
+    }
+    if (Body.size() == 1 && Mark[H] == H) {
+      // A self-loop is a loop too; anything else with no latch is not.
+      bool SelfLoop = false;
+      for (uint32_t S : Succs[H])
+        SelfLoop |= S == H;
+      if (!SelfLoop) {
+        Mark[H] = NoBlock;
+        continue;
+      }
+    }
+    LoopParent[H] = LoopOf[H];
+    for (uint32_t B : Body) {
+      LoopOf[B] = H;
+      ++Depth[B];
+    }
+    bool HasEntry = false;
+    for (MBasicBlock *P : Order[H]->predecessors()) {
+      uint32_t PI = layoutOf(P);
+      HasEntry |= PI != NoBlock && Mark[PI] != H;
+    }
+    Hoistable[H] = HasEntry && !IsRoot(Order[H]);
+    // Clear marks of this loop's body: an enclosing loop already owns
+    // its marks through Mark values equal to its own header.
+    for (uint32_t B : Body)
+      Mark[B] = NoBlock;
+  }
+
+  HoistScope.assign(NB, NoBlock);
+  for (uint32_t B = 0; B != NB; ++B) {
+    uint32_t L = LoopOf[B];
+    while (L != NoBlock && !Hoistable[L])
+      L = LoopParent[L];
+    HoistScope[B] = L;
+  }
+}
+
+bool CodeGenerator::inLoop(uint32_t B, uint32_t Header) const {
+  uint32_t L = LoopOf[B];
+  while (L != NoBlock && L != Header)
+    L = LoopParent[L];
+  return L == Header;
+}
+
 uint32_t CodeGenerator::vregOf(MInstr *Def) {
-  auto It = VRegs.find(Def);
-  if (It != VRegs.end())
-    return It->second;
-  uint32_t V = newVReg();
-  VRegs[Def] = V;
+  uint32_t &V = VRegOfId[Def->id()];
+  if (V == NoReg)
+    V = newVReg();
   return V;
 }
 
-uint32_t CodeGenerator::use(MInstr *Def) {
-  if (Def->op() == MirOp::Constant) {
-    auto It = BlockConstCache.find(Def);
-    if (It != BlockConstCache.end())
-      return It->second;
-    uint32_t V = newVReg();
-    emit(NOp::LoadConst, V, 0, 0, Out->addConstant(Def->constValue()));
-    BlockConstCache[Def] = V;
-    return V;
+MInstr *CodeGenerator::resolve(MInstr *I) {
+  while (true) {
+    switch (I->op()) {
+    case MirOp::Unbox:
+      if (static_cast<MIRType>(I->AuxA) == MIRType::Double)
+        return I; // GuardNumber converts: a value of its own.
+      I = I->operand(0);
+      continue;
+    case MirOp::TypeBarrier:
+      I = I->operand(0);
+      continue;
+    case MirOp::GenericSetElem:
+      I = I->operand(2);
+      continue;
+    case MirOp::GenericSetProp:
+      I = I->operand(1);
+      continue;
+    default:
+      return I;
+    }
   }
-  assert(VRegs.count(Def) && "use before definition in lowering order");
-  return VRegs[Def];
+}
+
+uint32_t CodeGenerator::use(MInstr *Def) {
+  Def = resolve(Def);
+  if (Def->op() != MirOp::Constant) {
+    assert(VRegOfId[Def->id()] != NoReg &&
+           "use before definition in lowering order");
+    return VRegOfId[Def->id()];
+  }
+  uint32_t Loop = HoistScope[CurBlock];
+  uint32_t Id = Def->id();
+  if (ConstScope[Id] == constScopeTag())
+    return ConstVReg[Id];
+  uint32_t V = NoReg;
+  if (Loop != NoBlock) {
+    // A loop's blocks need not be contiguous in the layout, so the
+    // per-instruction cache may hold another scope's vreg: look in the
+    // loop's own list before making a new one.
+    for (auto [CId, CV] : LoopConsts[Loop])
+      if (CId == Id)
+        V = CV;
+    if (V == NoReg) {
+      V = newVReg();
+      ConstPoolOf[V] = Out->addConstant(Def->constValue());
+      LoopConsts[Loop].push_back({Id, V});
+    }
+  } else {
+    V = newVReg();
+    ConstPoolOf[V] = Out->addConstant(Def->constValue());
+    emit(NOp::LoadConst, V, 0, 0, ConstPoolOf[V]);
+  }
+  ConstScope[Id] = constScopeTag();
+  ConstVReg[Id] = V;
+  return V;
 }
 
 std::pair<uint32_t, uint32_t> CodeGenerator::useBinOperands(MInstr *I,
                                                            bool Commutative) {
   MInstr *L = I->operand(0), *R = I->operand(1);
   auto FreshConst = [this](MInstr *D) {
-    return D->op() == MirOp::Constant && !BlockConstCache.count(D);
+    D = resolve(D);
+    return D->op() == MirOp::Constant && ConstScope[D->id()] != constScopeTag();
   };
   if (Commutative && FreshConst(L) && !FreshConst(R)) {
     uint32_t RV = use(R);
@@ -335,7 +647,7 @@ uint32_t CodeGenerator::snapshotFor(MResumePoint *RP) {
   S.PC = RP->pc();
   S.NumFrameSlots = RP->numFrameSlots();
   for (size_t I = 0, E = RP->numEntries(); I != E; ++I) {
-    MInstr *Entry = RP->entry(I);
+    MInstr *Entry = resolve(RP->entry(I));
     SnapshotEntry SE;
     if (Entry->op() == MirOp::Constant) {
       SE.IsConst = true;
@@ -364,7 +676,7 @@ void CodeGenerator::lowerPhiMoves(MBasicBlock *B, MBasicBlock *Succ) {
   };
   std::vector<Move> Moves;
   for (MInstr *Phi : Succ->phis())
-    Moves.push_back({vregOf(Phi), Phi->operand(PredIdx)});
+    Moves.push_back({vregOf(Phi), resolve(Phi->operand(PredIdx))});
 
   // Resolve. Sources that are constants never participate in cycles.
   std::unordered_map<uint32_t, uint32_t> Renamed; // old vreg -> temp.
@@ -377,9 +689,7 @@ void CodeGenerator::lowerPhiMoves(MBasicBlock *B, MBasicBlock *Succ) {
       for (size_t J = 0; J < Moves.size(); ++J) {
         if (J == I || Moves[J].Src->op() == MirOp::Constant)
           continue;
-        uint32_t SrcV = VRegs.count(Moves[J].Src)
-                            ? VRegs[Moves[J].Src]
-                            : NoReg;
+        uint32_t SrcV = VRegOfId[Moves[J].Src->id()];
         auto RIt = Renamed.find(SrcV);
         if (RIt != Renamed.end())
           SrcV = RIt->second;
@@ -473,15 +783,14 @@ void CodeGenerator::lowerInstr(MInstr *I) {
     default:
       JITVS_UNREACHABLE("bad unbox target");
     }
+    // The checked value is the result (see resolve): no move.
     emit(NOp::GuardTag, Src, static_cast<uint32_t>(Tag), 0, Snap);
-    emit(NOp::Mov, vregOf(I), Src);
     return;
   }
   case MirOp::TypeBarrier: {
     uint32_t Snap = snapshotFor(I->resumePoint());
     uint32_t Src = use(I->operand(0));
     emit(NOp::GuardTag, Src, I->AuxA, 0, Snap);
-    emit(NOp::Mov, vregOf(I), Src);
     return;
   }
   case MirOp::ToDouble:
@@ -597,21 +906,19 @@ void CodeGenerator::lowerInstr(MInstr *I) {
     emit(NOp::GenUn, vregOf(I), use(I->operand(0)),
          0, static_cast<int32_t>(I->AuxA));
     return;
-  case MirOp::GenericSetElem: {
+  case MirOp::GenericSetElem: { // The result is the stored value.
     uint32_t Val = use(I->operand(2));
     emit(NOp::GenSetElem, use(I->operand(0)), use(I->operand(1)), Val);
-    emit(NOp::Mov, vregOf(I), Val);
     return;
   }
   case MirOp::GenericGetProp:
     emit(NOp::GenGetProp, vregOf(I), use(I->operand(0)), 0,
          static_cast<int32_t>(I->AuxA));
     return;
-  case MirOp::GenericSetProp: {
+  case MirOp::GenericSetProp: { // The result is the stored value.
     uint32_t Val = use(I->operand(1));
     emit(NOp::GenSetProp, use(I->operand(0)), Val, 0,
          static_cast<int32_t>(I->AuxA));
-    emit(NOp::Mov, vregOf(I), Val);
     return;
   }
 
@@ -725,10 +1032,11 @@ void CodeGenerator::lowerInstr(MInstr *I) {
   JITVS_UNREACHABLE("bad MirOp in lowering");
 }
 
-void CodeGenerator::lowerBlock(MBasicBlock *B, MBasicBlock *Next) {
-  CurBlock = B;
-  BlockConstCache.clear();
-  BlockStartL[B->id()] = static_cast<uint32_t>(Lir.size());
+void CodeGenerator::lowerBlock(uint32_t Idx) {
+  MBasicBlock *B = Order[Idx];
+  MBasicBlock *Next = Idx + 1 < Order.size() ? Order[Idx + 1] : nullptr;
+  CurBlock = Idx;
+  BlockStart[Idx] = static_cast<uint32_t>(Lir.size());
 
   // Phi destinations need vregs before any predecessor writes them.
   for (MInstr *Phi : B->phis())
@@ -740,6 +1048,7 @@ void CodeGenerator::lowerBlock(MBasicBlock *B, MBasicBlock *Next) {
       break;
     lowerInstr(I);
   }
+  TailL[Idx] = static_cast<uint32_t>(Lir.size());
 
   if (!Term) {
     assert(B->instructions().empty() && "block without terminator");
@@ -750,12 +1059,14 @@ void CodeGenerator::lowerBlock(MBasicBlock *B, MBasicBlock *Next) {
   case MirOp::Goto: {
     MBasicBlock *Succ = Term->successor(0);
     lowerPhiMoves(B, Succ);
+    TailL[Idx] = static_cast<uint32_t>(Lir.size());
     if (Succ != Next)
       emit(NOp::Jmp, 0, 0, 0, blockMark(Succ));
     return;
   }
   case MirOp::Test: {
     uint32_t Cond = use(Term->operand(0));
+    TailL[Idx] = static_cast<uint32_t>(Lir.size());
     MBasicBlock *TrueB = Term->successor(0);
     MBasicBlock *FalseB = Term->successor(1);
     assert(TrueB->phis().empty() && FalseB->phis().empty() &&
@@ -778,313 +1089,520 @@ void CodeGenerator::lowerBlock(MBasicBlock *B, MBasicBlock *Next) {
   }
 }
 
+void CodeGenerator::placeHoistedConstants() {
+  size_t NB = Order.size();
+  bool Any = false;
+  for (const auto &L : LoopConsts)
+    Any |= !L.empty();
+  if (!Any)
+    return;
+  std::vector<LIns> Spliced;
+  Spliced.reserve(Lir.size() + 16);
+  for (uint32_t B = 0; B != NB; ++B) {
+    uint32_t End = B + 1 < NB ? BlockStart[B + 1]
+                              : static_cast<uint32_t>(Lir.size());
+    uint32_t NewStart = static_cast<uint32_t>(Spliced.size());
+    Spliced.insert(Spliced.end(), Lir.begin() + BlockStart[B],
+                   Lir.begin() + TailL[B]);
+    for (uint32_t S : Succs[B]) {
+      if (LoopConsts[S].empty() || inLoop(B, S))
+        continue;
+      for (auto [Id, V] : LoopConsts[S]) {
+        LIns L;
+        L.Op = NOp::LoadConst;
+        L.A = V;
+        L.Imm = ConstPoolOf[V];
+        Spliced.push_back(L);
+      }
+    }
+    Spliced.insert(Spliced.end(), Lir.begin() + TailL[B], Lir.begin() + End);
+    BlockStart[B] = NewStart;
+  }
+  Lir = std::move(Spliced);
+}
+
 void CodeGenerator::computeLiveness() {
-  size_t NumBlocks = Order.size();
-  BlockRangeL.resize(NumBlocks);
-  for (size_t I = 0; I != NumBlocks; ++I) {
-    uint32_t Start = BlockStartL[Order[I]->id()];
-    uint32_t End = I + 1 < NumBlocks
-                       ? BlockStartL[Order[I + 1]->id()]
-                       : static_cast<uint32_t>(Lir.size());
-    BlockRangeL[I] = {Start, End};
-  }
-
-  auto ForEachUse = [this](const LIns &L, auto Fn) {
-    OpInfo OI = opInfo(L.Op);
-    if (OI.AUse)
-      Fn(L.A);
-    if (OI.BUse)
-      Fn(L.B);
-    if (OI.CUse)
-      Fn(L.C);
-    if (mathFnHasSecondArg(L))
-      Fn(L.C);
-    if (OI.HasSnapshot) {
-      const Snapshot &S = Out->Snapshots[static_cast<size_t>(L.Imm)];
-      for (const SnapshotEntry &E : S.Entries)
-        if (!E.IsConst)
-          Fn(E.Index);
-    }
+  size_t NB = Order.size();
+  const size_t Words = (NextVReg + 63) / 64;
+  auto Test = [](const uint64_t *Row, uint32_t V) {
+    return (Row[V >> 6] >> (V & 63)) & 1;
+  };
+  auto Set = [](uint64_t *Row, uint32_t V) {
+    Row[V >> 6] |= uint64_t(1) << (V & 63);
+  };
+  auto Clear = [](uint64_t *Row, uint32_t V) {
+    Row[V >> 6] &= ~(uint64_t(1) << (V & 63));
+  };
+  auto BlockEnd = [&](uint32_t B) {
+    return B + 1 < NB ? BlockStart[B + 1] : static_cast<uint32_t>(Lir.size());
   };
 
-  // Block-level liveness to a fixed point.
-  std::vector<std::unordered_set<uint32_t>> LiveIn(NumBlocks),
-      LiveOut(NumBlocks);
-  std::unordered_map<uint32_t, size_t> OrderIdx;
-  for (size_t I = 0; I != NumBlocks; ++I)
-    OrderIdx[Order[I]->id()] = I;
-
-  bool Changed = true;
-  while (Changed) {
+  // Per-block upward-exposed uses and defs, then live-in sets to a fixed
+  // point (reverse layout order converges in a few sweeps).
+  std::vector<uint64_t> Gen(NB * Words, 0), Kill(NB * Words, 0);
+  for (uint32_t B = 0; B != NB; ++B) {
+    uint64_t *G = &Gen[B * Words], *K = &Kill[B * Words];
+    for (uint32_t P = BlockStart[B], E = BlockEnd(B); P != E; ++P) {
+      const LIns &L = Lir[P];
+      forEachUse(L, Out->Snapshots, [&](uint32_t V, bool) {
+        if (!Test(K, V))
+          Set(G, V);
+      });
+      if (opInfo(L.Op).ADef)
+        Set(K, L.A);
+    }
+  }
+  std::vector<uint64_t> LiveIn(NB * Words, 0);
+  std::vector<uint64_t> Live(Words);
+  auto LiveOutOf = [&](uint32_t B) {
+    std::fill(Live.begin(), Live.end(), 0);
+    for (uint32_t S : Succs[B])
+      for (size_t W = 0; W != Words; ++W)
+        Live[W] |= LiveIn[S * Words + W];
+  };
+  for (bool Changed = true; Changed;) {
     Changed = false;
-    for (size_t BI = NumBlocks; BI-- > 0;) {
-      MBasicBlock *B = Order[BI];
-      std::unordered_set<uint32_t> Live;
-      for (size_t S = 0, E = B->numSuccessors(); S != E; ++S) {
-        auto It = OrderIdx.find(B->successor(S)->id());
-        if (It == OrderIdx.end())
-          continue;
-        for (uint32_t V : LiveIn[It->second])
-          Live.insert(V);
-      }
-      if (Live.size() != LiveOut[BI].size()) {
-        LiveOut[BI] = Live;
-        Changed = true;
-      } else if (!(Live == LiveOut[BI])) {
-        LiveOut[BI] = Live;
-        Changed = true;
-      }
-      auto [Start, End] = BlockRangeL[BI];
-      for (uint32_t P = End; P-- > Start;) {
-        const LIns &L = Lir[P];
-        OpInfo OI = opInfo(L.Op);
-        if (OI.ADef)
-          Live.erase(L.A);
-        ForEachUse(L, [&Live](uint32_t V) { Live.insert(V); });
-      }
-      if (!(Live == LiveIn[BI])) {
-        LiveIn[BI] = std::move(Live);
-        Changed = true;
+    for (uint32_t B = static_cast<uint32_t>(NB); B-- > 0;) {
+      LiveOutOf(B);
+      for (size_t W = 0; W != Words; ++W) {
+        uint64_t In =
+            Gen[B * Words + W] | (Live[W] & ~Kill[B * Words + W]);
+        if (In != LiveIn[B * Words + W]) {
+          LiveIn[B * Words + W] = In;
+          Changed = true;
+        }
       }
     }
   }
 
-  // Build conservative intervals.
-  Intervals.clear();
-  std::unordered_map<uint32_t, size_t> IntervalOf;
-  auto Touch = [this, &IntervalOf](uint32_t V, uint32_t Pos) {
-    auto [It, Inserted] = IntervalOf.try_emplace(V, Intervals.size());
-    if (Inserted) {
-      Interval Iv;
-      Iv.VReg = V;
-      Intervals.push_back(Iv);
+  // Live ranges, built backwards so each vreg's segments arrive in
+  // descending order (reversed at the end). A value live out of a block
+  // covers the block from its def (or the block start) to the block end;
+  // a value dead between a use and a later redefinition gets a hole.
+  Ranges.assign(NextVReg, {});
+  Weight.assign(NextVReg, 0.0);
+  auto AddRange = [this](uint32_t V, uint32_t From, uint32_t To) {
+    std::vector<Seg> &R = Ranges[V];
+    if (!R.empty() && R.back().From <= To) {
+      R.back().From = std::min(R.back().From, From);
+      R.back().To = std::max(R.back().To, To);
+    } else {
+      R.push_back({From, To});
     }
-    Interval &Iv = Intervals[It->second];
-    Iv.Start = std::min(Iv.Start, Pos);
-    Iv.End = std::max(Iv.End, Pos);
   };
-
-  for (size_t BI = 0; BI != NumBlocks; ++BI) {
-    auto [Start, End] = BlockRangeL[BI];
-    for (uint32_t V : LiveIn[BI])
-      Touch(V, Start);
-    for (uint32_t V : LiveOut[BI])
-      Touch(V, End > Start ? End - 1 : Start);
-    for (uint32_t P = Start; P != End; ++P) {
+  for (uint32_t B = static_cast<uint32_t>(NB); B-- > 0;) {
+    uint32_t From = 2 * BlockStart[B], To = 2 * BlockEnd(B);
+    LiveOutOf(B);
+    for (size_t W = 0; W != Words; ++W)
+      for (uint64_t Bits = Live[W]; Bits; Bits &= Bits - 1)
+        AddRange(static_cast<uint32_t>(W * 64 + __builtin_ctzll(Bits)), From,
+                 To);
+    double Wt = accessWeight(Depth[B]);
+    for (uint32_t P = BlockEnd(B); P-- > BlockStart[B];) {
       const LIns &L = Lir[P];
       OpInfo OI = opInfo(L.Op);
-      if (OI.ADef)
-        Touch(L.A, P);
-      ForEachUse(L, [&Touch, P](uint32_t V) { Touch(V, P); });
+      if (isCallOp(L.Op)) {
+        // Live across the call: live after it, and not its result.
+        CallSite CS;
+        CS.Pos = P;
+        for (size_t W = 0; W != Words; ++W)
+          for (uint64_t Bits = Live[W]; Bits; Bits &= Bits - 1) {
+            uint32_t V = static_cast<uint32_t>(W * 64 + __builtin_ctzll(Bits));
+            if (V != L.A)
+              CS.Live.push_back(V);
+          }
+        Calls.push_back(std::move(CS));
+      }
+      if (OI.ADef) {
+        if (Test(Live.data(), L.A)) {
+          assert(Ranges[L.A].back().From == From && "def of a live value");
+          Ranges[L.A].back().From = 2 * P + 1;
+          Clear(Live.data(), L.A);
+        } else {
+          AddRange(L.A, 2 * P + 1, 2 * P + 2); // Dead def.
+        }
+        Weight[L.A] += Wt;
+      }
+      forEachUse(L, Out->Snapshots, [&](uint32_t V, bool IsOperand) {
+        AddRange(V, From, 2 * P + 1);
+        Set(Live.data(), V);
+        if (IsOperand)
+          Weight[V] += Wt;
+      });
     }
+  }
+  for (std::vector<Seg> &R : Ranges)
+    std::reverse(R.begin(), R.end());
+  std::reverse(Calls.begin(), Calls.end());
+}
+
+void CodeGenerator::coalesceMoves() {
+  Parent.resize(NextVReg);
+  for (uint32_t V = 0; V != NextVReg; ++V)
+    Parent[V] = V;
+  // Moves in deeper loops first: they run most often.
+  std::vector<std::pair<uint8_t, uint32_t>> Moves;
+  for (uint32_t B = 0, NB = static_cast<uint32_t>(Order.size()); B != NB;
+       ++B) {
+    uint32_t End =
+        B + 1 < NB ? BlockStart[B + 1] : static_cast<uint32_t>(Lir.size());
+    for (uint32_t P = BlockStart[B]; P != End; ++P)
+      if (Lir[P].Op == NOp::Mov)
+        Moves.push_back({Depth[B], P});
+  }
+  std::stable_sort(Moves.begin(), Moves.end(),
+                   [](const auto &X, const auto &Y) {
+                     return X.first > Y.first;
+                   });
+  for (auto [D, P] : Moves) {
+    uint32_t Dst = find(Lir[P].A), Src = find(Lir[P].B);
+    if (Dst == Src || isConst(Dst) || isConst(Src) ||
+        intersects(Ranges[Dst], Ranges[Src]))
+      continue;
+    if (Ranges[Dst].size() < Ranges[Src].size())
+      std::swap(Dst, Src);
+    mergeInto(Ranges[Dst], Ranges[Src]);
+    Ranges[Src].clear();
+    Weight[Dst] += Weight[Src];
+    Parent[Src] = Dst;
   }
 }
 
 void CodeGenerator::allocateRegisters() {
-  // Registers 13..15 are reserved as spill scratch.
-  constexpr int NumAllocatable = 13;
-
-  std::sort(Intervals.begin(), Intervals.end(),
-            [](const Interval &A, const Interval &B) {
-              return A.Start < B.Start;
-            });
-
   RegOf.assign(NextVReg, -1);
   SlotOf.assign(NextVReg, -1);
+  auto Length = [this](uint32_t G) {
+    uint64_t L = 0;
+    for (const Seg &S : Ranges[G])
+      L += S.To - S.From;
+    return static_cast<double>(L);
+  };
+  std::vector<double> Density(NextVReg, 0.0);
+  std::vector<uint32_t> Unhandled, Consts;
+  for (uint32_t V = 0; V != NextVReg; ++V) {
+    if (Parent[V] != V || Ranges[V].empty())
+      continue;
+    Density[V] = Weight[V] / Length(V);
+    (isConst(V) ? Consts : Unhandled).push_back(V);
+  }
+  std::stable_sort(Unhandled.begin(), Unhandled.end(),
+                   [this](uint32_t X, uint32_t Y) {
+                     return Ranges[X].front().From < Ranges[Y].front().From;
+                   });
 
-  std::vector<size_t> Active; // Indices into Intervals.
-  std::vector<bool> RegUsed(NumAllocatable, false);
-
-  auto Expire = [&](uint32_t Pos) {
-    for (size_t I = 0; I < Active.size();) {
-      Interval &Iv = Intervals[Active[I]];
-      if (Iv.End < Pos) {
-        RegUsed[Iv.Reg] = false;
+  // Linear scan over whole groups. Active groups cover the current
+  // position; inactive ones are in a lifetime hole there, so their
+  // register is free for any group that fits entirely in their holes.
+  std::vector<uint32_t> Active, Inactive, Spilled;
+  std::vector<uint32_t> Cursor(NextVReg, 0);
+  auto Covers = [&](uint32_t G, uint32_t Pos) {
+    const std::vector<Seg> &R = Ranges[G];
+    uint32_t &C = Cursor[G];
+    while (C != R.size() && R[C].To <= Pos)
+      ++C;
+    return C != R.size() && R[C].From <= Pos;
+  };
+  for (uint32_t Cur : Unhandled) {
+    uint32_t Pos = Ranges[Cur].front().From;
+    for (size_t I = 0; I != Active.size();) {
+      uint32_t G = Active[I];
+      if (Ranges[G].back().To <= Pos || !Covers(G, Pos)) {
+        if (Ranges[G].back().To > Pos)
+          Inactive.push_back(G);
         Active[I] = Active.back();
         Active.pop_back();
       } else {
         ++I;
       }
     }
-  };
+    for (size_t I = 0; I != Inactive.size();) {
+      uint32_t G = Inactive[I];
+      bool Ended = Ranges[G].back().To <= Pos;
+      if (Ended || Covers(G, Pos)) {
+        if (!Ended)
+          Active.push_back(G);
+        Inactive[I] = Inactive.back();
+        Inactive.pop_back();
+      } else {
+        ++I;
+      }
+    }
 
-  for (size_t Idx = 0; Idx != Intervals.size(); ++Idx) {
-    Interval &Iv = Intervals[Idx];
-    Expire(Iv.Start);
-    int Free = -1;
-    for (int R = 0; R != NumAllocatable; ++R) {
-      if (!RegUsed[R]) {
-        Free = R;
+    // Per register: is it taken somewhere in Cur's range, and by how
+    // dense a group at most.
+    bool Taken[NumAllocatable] = {};
+    double Cost[NumAllocatable] = {};
+    for (uint32_t G : Active) {
+      Taken[RegOf[G]] = true;
+      Cost[RegOf[G]] = std::max(Cost[RegOf[G]], Density[G]);
+    }
+    for (uint32_t G : Inactive)
+      if (intersects(Ranges[G], Ranges[Cur])) {
+        Taken[RegOf[G]] = true;
+        Cost[RegOf[G]] = std::max(Cost[RegOf[G]], Density[G]);
+      }
+    int Reg = -1;
+    for (int R = 0; R != NumAllocatable && Reg < 0; ++R)
+      if (!Taken[R])
+        Reg = R;
+    if (Reg < 0) {
+      // No register is free for all of Cur: evict the groups holding
+      // the register whose densest overlapping group is the sparsest, if
+      // that is sparser than Cur; otherwise Cur goes to the stack.
+      int Best = 0;
+      for (int R = 1; R != NumAllocatable; ++R)
+        if (Cost[R] < Cost[Best])
+          Best = R;
+      if (Cost[Best] >= Density[Cur]) {
+        Spilled.push_back(Cur);
+        continue;
+      }
+      Reg = Best;
+      auto Evict = [&](std::vector<uint32_t> &List, bool CheckOverlap) {
+        for (size_t I = 0; I != List.size();) {
+          uint32_t G = List[I];
+          if (RegOf[G] == Reg &&
+              (!CheckOverlap || intersects(Ranges[G], Ranges[Cur]))) {
+            RegOf[G] = -1;
+            Spilled.push_back(G);
+            List[I] = List.back();
+            List.pop_back();
+          } else {
+            ++I;
+          }
+        }
+      };
+      Evict(Active, false);
+      Evict(Inactive, true);
+    }
+    RegOf[Cur] = Reg;
+    Active.push_back(Cur);
+  }
+
+  // Constants take only what is left: each register's occupancy is
+  // known now, and a constant that fits in none is rematerialized at
+  // every use instead of spilled.
+  std::vector<std::vector<Seg>> Occupied(NumAllocatable);
+  for (uint32_t G : Unhandled)
+    if (RegOf[G] >= 0)
+      Occupied[RegOf[G]].insert(Occupied[RegOf[G]].end(), Ranges[G].begin(),
+                                Ranges[G].end());
+  for (std::vector<Seg> &O : Occupied)
+    std::sort(O.begin(), O.end(),
+              [](const Seg &X, const Seg &Y) { return X.From < Y.From; });
+  std::stable_sort(Consts.begin(), Consts.end(),
+                   [this](uint32_t X, uint32_t Y) {
+                     return Weight[X] > Weight[Y];
+                   });
+  for (uint32_t G : Consts)
+    for (int R = 0; R != NumAllocatable; ++R)
+      if (!intersects(Occupied[R], Ranges[G])) {
+        RegOf[G] = R;
+        mergeInto(Occupied[R], Ranges[G]);
         break;
       }
-    }
-    if (Free >= 0) {
-      Iv.Reg = Free;
-      RegUsed[Free] = true;
-      Active.push_back(Idx);
-      continue;
-    }
-    // Spill the active interval with the furthest end (or this one).
-    size_t Victim = Idx;
-    size_t VictimActivePos = ~0ull;
-    uint32_t MaxEnd = Iv.End;
-    for (size_t AI = 0; AI != Active.size(); ++AI) {
-      Interval &Cand = Intervals[Active[AI]];
-      if (Cand.End > MaxEnd) {
-        MaxEnd = Cand.End;
-        Victim = Active[AI];
-        VictimActivePos = AI;
-      }
-    }
-    if (Victim == Idx) {
-      Iv.Slot = static_cast<int>(NumSpills++);
-    } else {
-      Interval &V = Intervals[Victim];
-      Iv.Reg = V.Reg;
-      V.Slot = static_cast<int>(NumSpills++);
-      V.Reg = -1;
-      Active[VictimActivePos] = Idx;
-    }
-  }
 
-  for (const Interval &Iv : Intervals) {
-    RegOf[Iv.VReg] = Iv.Reg;
-    SlotOf[Iv.VReg] = Iv.Slot;
+  // Spill slots, shared by groups whose ranges do not intersect.
+  std::stable_sort(Spilled.begin(), Spilled.end(),
+                   [this](uint32_t X, uint32_t Y) {
+                     return Ranges[X].front().From < Ranges[Y].front().From;
+                   });
+  std::vector<std::vector<Seg>> SlotUse;
+  for (uint32_t G : Spilled) {
+    uint32_t S = 0;
+    while (S != SlotUse.size() && intersects(SlotUse[S], Ranges[G]))
+      ++S;
+    if (S == SlotUse.size())
+      SlotUse.emplace_back();
+    mergeInto(SlotUse[S], Ranges[G]);
+    SlotOf[G] = static_cast<int>(S);
   }
+  NumSlots = static_cast<uint32_t>(SlotUse.size());
+}
+
+bool CodeGenerator::emitsNothing(const LIns &L) {
+  if (L.Op == NOp::Mov) {
+    uint32_t D = find(L.A), S = find(L.B);
+    return D == S || (RegOf[D] >= 0 && RegOf[D] == RegOf[S]) ||
+           (RegOf[D] < 0 && RegOf[S] < 0 && SlotOf[D] == SlotOf[S]);
+  }
+  return L.Op == NOp::LoadConst && isConst(L.A) && RegOf[L.A] < 0;
 }
 
 std::unique_ptr<NativeCode> CodeGenerator::emitFinal(CodegenStats *Stats) {
-  // Scratch registers for spilled operands.
+  // Scratch registers for spilled and rematerialized operands.
   constexpr uint16_t Scratch[3] = {13, 14, 15};
-
-  // First pass: compute the final offset of every LIR index.
-  std::vector<uint32_t> FinalOffset(Lir.size() + 1, 0);
-  uint32_t Off = 0;
-  for (size_t P = 0; P != Lir.size(); ++P) {
-    FinalOffset[P] = Off;
-    const LIns &L = Lir[P];
-    OpInfo OI = opInfo(L.Op);
-    unsigned Extra = 0;
-    auto CountSpill = [this, &Extra](uint32_t V) {
-      if (SlotOf[V] >= 0)
-        ++Extra;
-    };
-    if (OI.AUse)
-      CountSpill(L.A);
-    if (OI.BUse)
-      CountSpill(L.B);
-    if (OI.CUse || mathFnHasSecondArg(L))
-      CountSpill(L.C);
-    if (OI.ADef && SlotOf[L.A] >= 0)
-      ++Extra;
-    Off += 1 + Extra;
-  }
-  FinalOffset[Lir.size()] = Off;
-
-  // Map block ids to final offsets.
-  std::unordered_map<uint32_t, uint32_t> BlockFinal;
-  for (const auto &[BlockId, LIdx] : BlockStartL)
-    BlockFinal[BlockId] = FinalOffset[LIdx];
-
-  // Second pass: emit.
-  for (size_t P = 0; P != Lir.size(); ++P) {
-    LIns L = Lir[P];
-    OpInfo OI = opInfo(L.Op);
-    unsigned NextScratch = 0;
-    auto MapUse = [this, &NextScratch, &Scratch](uint32_t V) -> uint16_t {
-      if (RegOf[V] >= 0)
-        return static_cast<uint16_t>(RegOf[V]);
-      assert(SlotOf[V] >= 0 && "vreg with no location");
-      uint16_t S = Scratch[NextScratch++];
-      NInstr Load;
-      Load.Op = NOp::LoadSpill;
-      Load.A = S;
-      Load.Imm = SlotOf[V];
-      Out->Code.push_back(Load);
-      return S;
-    };
-
+  std::vector<NInstr> &Code = Out->Code;
+  Code.reserve(Lir.size());
+  auto Push = [&Code](NOp Op, uint16_t A, int32_t Imm) {
     NInstr N;
-    N.Op = L.Op;
-    N.Imm = L.Imm;
-    N.B = static_cast<uint16_t>(L.B);
-    N.C = static_cast<uint16_t>(L.C);
+    N.Op = Op;
+    N.A = A;
+    N.Imm = Imm;
+    Code.push_back(N);
+  };
 
-    // Rewrite jump targets.
-    if (L.Op == NOp::Jmp || L.Op == NOp::JTrue || L.Op == NOp::JFalse)
-      N.Imm = static_cast<int32_t>(BlockFinal[static_cast<uint32_t>(L.Imm)]);
+  // Jump threading: a block left with nothing but a Jmp once its moves
+  // are gone forwards every branch to the Jmp's target, and is dropped
+  // when no block falls into it either.
+  size_t NB = Order.size();
+  auto BlockEnd = [&](uint32_t B) {
+    return B + 1 < NB ? BlockStart[B + 1] : static_cast<uint32_t>(Lir.size());
+  };
+  std::vector<uint32_t> Forward(NB);
+  for (uint32_t B = 0; B != NB; ++B) {
+    Forward[B] = B;
+    uint32_t P = BlockStart[B], End = BlockEnd(B);
+    while (P != End && emitsNothing(Lir[P]))
+      ++P;
+    if (B != 0 && Order[B] != Graph.osrBlock() && P + 1 == End &&
+        Lir[P].Op == NOp::Jmp)
+      Forward[B] = LayoutOf[static_cast<uint32_t>(Lir[P].Imm)];
+  }
+  std::vector<uint32_t> JumpTo(NB);
+  for (uint32_t B = 0; B != NB; ++B) {
+    uint32_t T = B;
+    for (size_t Steps = 0; Forward[T] != T && Steps != NB; ++Steps)
+      T = Forward[T];
+    JumpTo[B] = T;
+  }
+  auto Skipped = [&](uint32_t B) {
+    if (JumpTo[B] == B || Forward[JumpTo[B]] != JumpTo[B])
+      return false; // Not a forwarder, or one on a cycle.
+    if (BlockStart[B - 1] == BlockStart[B])
+      return false; // An empty block falls through.
+    const LIns &Prev = Lir[BlockStart[B] - 1];
+    return Prev.Op == NOp::Jmp || Prev.Op == NOp::Ret;
+  };
 
-    if (OI.BUse)
-      N.B = MapUse(L.B);
-    if (OI.CUse || mathFnHasSecondArg(L))
-      N.C = MapUse(L.C);
+  std::vector<uint32_t> BlockFinal(NB, 0);
+  std::vector<size_t> Jumps;
+  size_t NextCall = 0;
+  for (uint32_t B = 0; B != NB; ++B) {
+    BlockFinal[B] = static_cast<uint32_t>(Code.size());
+    if (Skipped(B))
+      continue;
+    for (uint32_t P = BlockStart[B], End = BlockEnd(B); P != End; ++P) {
+      const LIns &L = Lir[P];
+      OpInfo OI = opInfo(L.Op);
 
-    // Record a stack map at every runtime-call site: the frame
-    // locations the allocator proved live across the call. Operands
-    // that die at the call (End == P) and the call's own def are
-    // excluded — the executor poisons everything else, so a location
-    // omitted here can never smuggle a stale pointer past a moving
-    // collection. Keyed by the call's final instruction index (spill
-    // reloads for its uses were already emitted above), and emission
-    // order keeps StackMaps sorted by PC for mapForPC's binary search.
-    if (L.Op == NOp::CallV || L.Op == NOp::CallM || L.Op == NOp::CallT ||
-        L.Op == NOp::NewCall) {
-      StackMap M;
-      M.PC = static_cast<uint32_t>(Out->Code.size());
-      for (const Interval &Iv : Intervals) {
-        if (Iv.Start > P || Iv.End <= P || Iv.VReg == L.A)
-          continue;
-        M.Live.push_back(Iv.Reg >= 0
-                             ? static_cast<uint16_t>(Iv.Reg)
-                             : static_cast<uint16_t>(NumPhysRegs + Iv.Slot));
-      }
-      std::sort(M.Live.begin(), M.Live.end());
-      M.Live.erase(std::unique(M.Live.begin(), M.Live.end()), M.Live.end());
-      Out->StackMaps.push_back(std::move(M));
-    }
-
-    if (OI.AUse)
-      N.A = MapUse(L.A);
-    else if (OI.ADef) {
-      if (RegOf[L.A] >= 0) {
-        N.A = static_cast<uint16_t>(RegOf[L.A]);
-        Out->Code.push_back(N);
+      if (emitsNothing(L))
+        continue;
+      if (L.Op == NOp::Mov) {
+        // One end on the stack turns a move into a plain reload or store.
+        uint32_t D = find(L.A), S = find(L.B);
+        int DR = RegOf[D], SR = RegOf[S];
+        if (DR >= 0 && SR >= 0) {
+          NInstr N;
+          N.Op = NOp::Mov;
+          N.A = static_cast<uint16_t>(DR);
+          N.B = static_cast<uint16_t>(SR);
+          Code.push_back(N);
+        } else if (DR >= 0) {
+          Push(NOp::LoadSpill, static_cast<uint16_t>(DR), SlotOf[S]);
+        } else if (SR >= 0) {
+          Push(NOp::StoreSpill, static_cast<uint16_t>(SR), SlotOf[D]);
+        } else {
+          Push(NOp::LoadSpill, Scratch[0], SlotOf[S]);
+          Push(NOp::StoreSpill, Scratch[0], SlotOf[D]);
+        }
         continue;
       }
-      // Spilled def: write to scratch, then store.
-      uint16_t S = Scratch[NextScratch < 3 ? NextScratch : 2];
-      N.A = S;
-      Out->Code.push_back(N);
-      NInstr Store;
-      Store.Op = NOp::StoreSpill;
-      Store.A = S;
-      Store.Imm = SlotOf[L.A];
-      Out->Code.push_back(Store);
-      continue;
-    } else {
-      N.A = static_cast<uint16_t>(L.A);
+
+      unsigned NextScratch = 0;
+      auto MapUse = [&](uint32_t V) -> uint16_t {
+        uint32_t G = find(V);
+        if (RegOf[G] >= 0)
+          return static_cast<uint16_t>(RegOf[G]);
+        uint16_t S = Scratch[NextScratch++];
+        if (SlotOf[G] >= 0)
+          Push(NOp::LoadSpill, S, SlotOf[G]);
+        else
+          Push(NOp::LoadConst, S, ConstPoolOf[G]);
+        return S;
+      };
+
+      NInstr N;
+      N.Op = L.Op;
+      N.Imm = L.Imm;
+      N.B = static_cast<uint16_t>(L.B);
+      N.C = static_cast<uint16_t>(L.C);
+      if (L.Op == NOp::Jmp || L.Op == NOp::JTrue || L.Op == NOp::JFalse) {
+        N.Imm = static_cast<int32_t>(
+            JumpTo[LayoutOf[static_cast<uint32_t>(L.Imm)]]);
+        Jumps.push_back(Code.size() + (OI.AUse && RegOf[find(L.A)] < 0));
+      }
+      if (OI.BUse)
+        N.B = MapUse(L.B);
+      if (OI.CUse || mathFnHasSecondArg(L))
+        N.C = MapUse(L.C);
+
+      // Record a stack map at every runtime-call site: the frame
+      // locations of the values live across the call. Operands that die
+      // at the call, the call's own result and values in a lifetime hole
+      // are left out, and rematerialized constants have no location —
+      // the executor poisons everything else, so a location omitted here
+      // can never smuggle a stale pointer past a moving collection. Keyed
+      // by the call's final instruction index (after the reloads of its
+      // operands); emission order keeps StackMaps sorted by PC.
+      if (isCallOp(L.Op)) {
+        assert(NextCall < Calls.size() && Calls[NextCall].Pos == P &&
+               "call sites out of step");
+        StackMap M;
+        M.PC = static_cast<uint32_t>(Code.size());
+        for (uint32_t V : Calls[NextCall++].Live) {
+          uint32_t G = find(V);
+          if (RegOf[G] >= 0)
+            M.Live.push_back(static_cast<uint16_t>(RegOf[G]));
+          else if (SlotOf[G] >= 0)
+            M.Live.push_back(static_cast<uint16_t>(NumPhysRegs + SlotOf[G]));
+        }
+        std::sort(M.Live.begin(), M.Live.end());
+        M.Live.erase(std::unique(M.Live.begin(), M.Live.end()), M.Live.end());
+        Out->StackMaps.push_back(std::move(M));
+      }
+
+      if (OI.AUse) {
+        N.A = MapUse(L.A);
+      } else if (OI.ADef) {
+        uint32_t G = find(L.A);
+        if (RegOf[G] >= 0) {
+          N.A = static_cast<uint16_t>(RegOf[G]);
+        } else {
+          // Spilled def: write to scratch, then store.
+          N.A = Scratch[NextScratch < 3 ? NextScratch : 2];
+          Code.push_back(N);
+          Push(NOp::StoreSpill, N.A, SlotOf[G]);
+          continue;
+        }
+      } else {
+        N.A = static_cast<uint16_t>(L.A);
+      }
+      Code.push_back(N);
     }
-    Out->Code.push_back(N);
   }
+  for (size_t J : Jumps)
+    Code[J].Imm =
+        static_cast<int32_t>(BlockFinal[static_cast<size_t>(Code[J].Imm)]);
 
   // Rewrite snapshot entries from vregs to final locations.
   for (Snapshot &S : Out->Snapshots) {
     for (SnapshotEntry &E : S.Entries) {
       if (E.IsConst)
         continue;
-      uint32_t V = E.Index;
-      if (RegOf[V] >= 0)
-        E.Index = static_cast<uint32_t>(RegOf[V]);
-      else
-        E.Index = NumPhysRegs + static_cast<uint32_t>(SlotOf[V]);
+      uint32_t G = find(E.Index);
+      assert((RegOf[G] >= 0 || SlotOf[G] >= 0) &&
+             "snapshot entry without a location");
+      E.Index = RegOf[G] >= 0 ? static_cast<uint32_t>(RegOf[G])
+                              : NumPhysRegs + static_cast<uint32_t>(SlotOf[G]);
     }
   }
 
-  Out->FrameSize = NumPhysRegs + NumSpills;
+  Out->FrameSize = NumPhysRegs + NumSlots;
   Out->EntryOffset = 0;
   if (MBasicBlock *Osr = Graph.osrBlock()) {
     if (!Osr->isDead()) {
-      Out->OsrOffset = BlockFinal[Osr->id()];
+      Out->OsrOffset = BlockFinal[layoutOf(Osr)];
       if (Osr->entryResumePoint())
         Out->OsrPc = Osr->entryResumePoint()->pc();
     }
@@ -1092,8 +1610,8 @@ std::unique_ptr<NativeCode> CodeGenerator::emitFinal(CodegenStats *Stats) {
 
   if (Stats) {
     Stats->NumVirtualRegs = NextVReg;
-    Stats->NumSpills = NumSpills;
-    Stats->NumInstructions = static_cast<uint32_t>(Out->Code.size());
+    Stats->NumSpills = NumSlots;
+    Stats->NumInstructions = static_cast<uint32_t>(Code.size());
   }
   return std::move(Out);
 }
@@ -1106,11 +1624,19 @@ std::unique_ptr<NativeCode> CodeGenerator::run(CodegenStats *Stats) {
   Order = Graph.reversePostOrder();
   assert(!Order.empty() && Order[0] == Graph.entry() &&
          "entry must lead the code layout");
+  analyzeLoops();
 
-  for (size_t I = 0, E = Order.size(); I != E; ++I)
-    lowerBlock(Order[I], I + 1 < E ? Order[I + 1] : nullptr);
+  VRegOfId.assign(Graph.nextInstrId(), NoReg);
+  ConstScope.assign(Graph.nextInstrId(), 0);
+  ConstVReg.assign(Graph.nextInstrId(), 0);
+  BlockStart.assign(Order.size(), 0);
+  TailL.assign(Order.size(), 0);
+  for (uint32_t I = 0, E = static_cast<uint32_t>(Order.size()); I != E; ++I)
+    lowerBlock(I);
+  placeHoistedConstants();
 
   computeLiveness();
+  coalesceMoves();
   allocateRegisters();
   return emitFinal(Stats);
 }

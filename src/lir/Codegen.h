@@ -1,11 +1,12 @@
 //===- lir/Codegen.h - MIR -> native code generation ------------*- C++ -*-===//
 ///
 /// \file
-/// The backend: lowers MIR to virtual-register LIR, runs liveness
-/// analysis and linear-scan register allocation (16 physical registers,
-/// spill slots with explicit load/store code), resolves phis into
-/// parallel moves on split edges, and emits the final NativeCode with
-/// bailout snapshots.
+/// The backend: lowers MIR to virtual-register LIR, resolves phis into
+/// parallel moves on split edges, runs liveness analysis (live ranges
+/// with lifetime holes), coalesces moves, allocates registers by linear
+/// scan (13 allocatable registers, spill slots with explicit load/store
+/// code, constants rematerialized instead of spilled), and emits the
+/// final NativeCode with bailout snapshots and GC stack maps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,7 @@ class MIRGraph;
 /// Statistics from one code generation run.
 struct CodegenStats {
   uint32_t NumVirtualRegs = 0;
-  uint32_t NumSpills = 0;
+  uint32_t NumSpills = 0; ///< Spill slots in the frame.
   uint32_t NumInstructions = 0;
 };
 

@@ -1,11 +1,13 @@
 //===- native/Executor.cpp - Register machine dispatch loop ----------------===//
 //
 // The instruction handlers live in DispatchLoop.inc, textually included
-// twice below: once as a portable while+switch loop and once as a
-// computed-goto threaded loop (GCC/Clang `&&label`). Threaded dispatch
-// gives each handler its own indirect jump, so the branch predictor keys
-// on the current opcode's successor distribution instead of one shared
-// dispatch branch — the Ertl & Gregg result macro-op fusion builds on.
+// three times below: as a computed-goto threaded loop (GCC/Clang
+// `&&label`), as a portable while+switch loop, and as that switch loop
+// with a per-opcode dispatch counter (JITVS_DISPATCH=count). Threaded
+// dispatch gives each handler its own indirect jump, so the branch
+// predictor keys on the current opcode's successor distribution instead
+// of one shared dispatch branch — the Ertl & Gregg result macro-op
+// fusion builds on.
 //
 // That only holds if the compiler keeps the loop state in machine
 // registers and leaves each handler's dispatch where it is:
@@ -59,6 +61,8 @@ DispatchMode Executor::defaultDispatchMode() {
         return DispatchMode::Switch;
       if (std::strcmp(E, "goto") == 0 && hasComputedGoto())
         return DispatchMode::Goto;
+      if (std::strcmp(E, "count") == 0)
+        return DispatchMode::Count;
     }
     return hasComputedGoto() ? DispatchMode::Goto : DispatchMode::Switch;
   }();
@@ -326,13 +330,16 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
 
   // Portable switch dispatch: the fallback (and the default on compilers
   // without `&&label`). The switch covers every opcode, so -Wswitch
-  // keeps the handler set in sync with the op list.
-  {
+  // keeps the handler set in sync with the op list. Count mode is a
+  // second instantiation of the same loop whose fetch also bumps the
+  // opcode's counter; the counter array is reached through a local
+  // pointer, never through a lambda capture, so PC stays in a register.
 #define JITVS_LOOP_BEGIN                                                       \
   while (true) {                                                               \
     assert(PC < Code.Code.size() && "native pc out of range");                 \
     const NInstr *N = &Insns[PC];                                              \
     ++PC;                                                                      \
+    JITVS_COUNT_DISPATCH(N);                                                   \
     switch (N->Op) {
 #define JITVS_OP(Name) case NOp::Name:
 #define JITVS_NEXT() break
@@ -340,11 +347,21 @@ ExecResult Executor::run(const NativeCode &Code, const Value &ThisV,
     }                                                                          \
   }
 
+  if (Mode == DispatchMode::Count) {
+    uint64_t *const Counts = DispatchCounts.data();
+#define JITVS_COUNT_DISPATCH(N) ++Counts[static_cast<size_t>((N)->Op)]
 #include "native/DispatchLoop.inc"
+#undef JITVS_COUNT_DISPATCH
+  }
+
+  {
+#define JITVS_COUNT_DISPATCH(N) (void)(N)
+#include "native/DispatchLoop.inc"
+#undef JITVS_COUNT_DISPATCH
+  }
 
 #undef JITVS_LOOP_BEGIN
 #undef JITVS_OP
 #undef JITVS_NEXT
 #undef JITVS_LOOP_END
-  }
 }

@@ -15,6 +15,7 @@
 #include "vm/GC.h"
 #include "vm/Object.h"
 
+#include <array>
 #include <deque>
 #include <vector>
 
@@ -49,6 +50,7 @@ struct ExecResult {
 enum class DispatchMode {
   Switch, ///< Portable while+switch loop (works on any compiler).
   Goto,   ///< Computed-goto threaded dispatch (GCC/Clang `&&label`).
+  Count,  ///< The switch loop plus one counter per dispatched opcode.
 };
 
 /// The register file and value stacks of one native activation. The
@@ -73,8 +75,9 @@ public:
   /// True when this build supports computed-goto dispatch.
   static bool hasComputedGoto();
 
-  /// Mode selected by `JITVS_DISPATCH=goto|switch` (read once); defaults
-  /// to Goto where supported and silently falls back to Switch elsewhere.
+  /// Mode selected by `JITVS_DISPATCH=goto|switch|count` (read once);
+  /// defaults to Goto where supported and silently falls back to Switch
+  /// elsewhere.
   static DispatchMode defaultDispatchMode();
 
   /// \p M, or Switch where \p M is Goto and this build has no computed
@@ -91,9 +94,16 @@ public:
                  const Value *OsrSlots, size_t NumOsrSlots,
                  Environment *Env, Environment *ClosureEnv);
 
+  /// Instructions dispatched so far, per opcode. Only Count mode counts;
+  /// a fused pair counts once, under its fused opcode.
+  const std::array<uint64_t, NumNOps> &dispatchCounts() const {
+    return DispatchCounts;
+  }
+
 private:
   Runtime &RT;
   const DispatchMode Mode;
+  std::array<uint64_t, NumNOps> DispatchCounts{};
   /// Buffer sets indexed by native call depth. The pool grows to the
   /// deepest nesting seen (at most the runtime's MaxCallDepth), each set
   /// to the largest frame run at its depth. A deque, so adding the set

@@ -8,11 +8,15 @@
 /// metric of Figure 10, and fewer instructions/guards directly shorten
 /// execution.
 ///
-/// Instructions address 16 physical registers; values spilled by the
-/// linear-scan allocator live in spill slots reachable only through
-/// LoadSpill/StoreSpill. Bailout snapshots map interpreter frame slots to
-/// registers/spill slots/constants so a guard failure can reconstruct the
-/// interpreter frame mid-function.
+/// Instructions address 16 physical registers. The allocator (see
+/// lir/Codegen.cpp) gives each value one location for its whole life: one
+/// of registers 0..12, which values with disjoint live ranges share, or a
+/// spill slot reachable only through LoadSpill/StoreSpill, staged through
+/// the scratch registers 13..15. Constants never get a slot: one without
+/// a register is reloaded with LoadConst before each use. Bailout
+/// snapshots map interpreter frame slots to registers/spill
+/// slots/constants so a guard failure can reconstruct the interpreter
+/// frame mid-function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -203,7 +207,8 @@ struct Snapshot {
 
 /// Precise GC liveness for one runtime-call site: the frame locations
 /// (physical registers and NumPhysRegs+spill slots) whose values are
-/// live across the call, per the register allocator's intervals —
+/// live across the call, per the register allocator's live ranges (a
+/// value in a lifetime hole at the call is not live there) —
 /// including values kept alive only by bailout resume points, whose uses
 /// the allocator already folds into the same intervals. The executor
 /// publishes the current call's map while the call is in flight; tracing

@@ -252,10 +252,10 @@ Metrics::functionsByTicks() const {
   std::vector<std::pair<std::string, FunctionMetrics>> Out(Snapshot.begin(),
                                                            Snapshot.end());
   std::sort(Out.begin(), Out.end(), [](const auto &A, const auto &B) {
+    // Ties break by name, never by a wall-clock figure such as
+    // CompileNs: one build must list the same order on every run.
     if (A.second.Ticks != B.second.Ticks)
       return A.second.Ticks > B.second.Ticks;
-    if (A.second.CompileNs != B.second.CompileNs)
-      return A.second.CompileNs > B.second.CompileNs;
     return A.first < B.first;
   });
   return Out;

@@ -200,7 +200,8 @@ public:
   /// Engine (compiles, native runs, ...) and of a Runtime (ticks).
   void mergeFunction(const std::string &Name, const FunctionMetrics &Delta);
   std::map<std::string, FunctionMetrics> functions() const;
-  /// Profiles sorted hottest first (by ticks, then compile time).
+  /// Profiles sorted hottest first: by ticks, ties by name (never by a
+  /// timing, so the order repeats from run to run).
   std::vector<std::pair<std::string, FunctionMetrics>>
   functionsByTicks() const;
 

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace jitvs;
 
 namespace {
@@ -53,8 +55,61 @@ struct CodegenTester {
     return R.Result;
   }
 
+  /// Compiles \p Name (generic), as compileAndRun does, without running
+  /// it.
+  std::unique_ptr<NativeCode> compile(const std::string &Name) {
+    FunctionInfo *F = function(Name);
+    EXPECT_NE(F, nullptr);
+    BuildOptions Opts;
+    auto G = buildMIR(F, Opts);
+    runGVN(*G);
+    return generateCode(*G);
+  }
+
+  /// Runs \p Code natively and \p Name in the interpreter on \p Args,
+  /// and expects the same result.
+  void expectMatchesInterpreter(const NativeCode &Code,
+                                const std::string &Name,
+                                std::vector<Value> Args) {
+    Executor Exec(RT);
+    ExecResult R =
+        Exec.run(Code, Value::undefined(), Args.data(), Args.size(),
+                 /*AtOsr=*/false, nullptr, 0, nullptr, nullptr);
+    ASSERT_EQ(R.K, ExecResult::Ok);
+    Value Expected = RT.callGlobal(Name, Args);
+    ASSERT_FALSE(RT.hasError()) << RT.errorMessage();
+    EXPECT_TRUE(R.Result.sameSpecializationValue(Expected))
+        << Code.disassemble();
+  }
+
   Runtime RT;
 };
+
+/// The loop of \p Code: the code from the target of its one backward
+/// jump up to that jump, as [Header, BackEdge].
+std::pair<size_t, size_t> loopSpan(const NativeCode &Code) {
+  std::pair<size_t, size_t> Span{0, 0};
+  size_t Found = 0;
+  for (size_t I = 0; I != Code.Code.size(); ++I) {
+    const NInstr &N = Code.Code[I];
+    bool Branch =
+        N.Op == NOp::Jmp || N.Op == NOp::JTrue || N.Op == NOp::JFalse;
+    if (Branch && static_cast<size_t>(N.Imm) <= I) {
+      Span = {static_cast<size_t>(N.Imm), I};
+      ++Found;
+    }
+  }
+  EXPECT_EQ(Found, 1u) << Code.disassemble();
+  return Span;
+}
+
+size_t countInLoop(const NativeCode &Code, NOp Op) {
+  auto [Header, BackEdge] = loopSpan(Code);
+  size_t N = 0;
+  for (size_t I = Header; I <= BackEdge; ++I)
+    N += Code.Code[I].Op == Op;
+  return N;
+}
 
 TEST(Codegen, SimpleArithmetic) {
   CodegenTester T("function f(a, b) { return a * b + 1; }"
@@ -177,6 +232,67 @@ TEST(Codegen, SpecializationShrinksCode) {
 
   EXPECT_LT(SpecCode->sizeInInstructions(),
             BaseCode->sizeInInstructions());
+}
+
+TEST(Codegen, CountedLoopCopiesNothing) {
+  // The loop-carried phis and their updates share registers, so the
+  // back edge copies nothing.
+  CodegenTester T("function f(n) { var s = 0;"
+                  "  for (var i = 0; i < n; i++) s += i;"
+                  "  return s; }"
+                  "for (var k = 0; k < 5; k++) f(10);");
+  auto Code = T.compile("f");
+  EXPECT_EQ(countInLoop(*Code, NOp::Mov), 0u) << Code->disassemble();
+  T.expectMatchesInterpreter(*Code, "f", {Value::int32(100)});
+}
+
+TEST(Codegen, LoopConstantsMaterializeBeforeTheLoop) {
+  // Registers are plentiful, so the loop's constants are loaded once,
+  // before the loop, and never inside it.
+  CodegenTester T("function f(n) { var s = 0;"
+                  "  for (var i = 0; i < n; i++) s = (s + i * 3 + 7) | 0;"
+                  "  return s; }"
+                  "for (var k = 0; k < 5; k++) f(10);");
+  auto Code = T.compile("f");
+  EXPECT_EQ(countInLoop(*Code, NOp::LoadConst), 0u) << Code->disassemble();
+  T.expectMatchesInterpreter(*Code, "f", {Value::int32(100)});
+}
+
+TEST(Codegen, DeadRegisterAcrossCallIsReusedAndPoisoned) {
+  // `s` holds an array. Its old value dies when it is passed to mk, and
+  // its next value is mk's result, so across the allocating call its
+  // register holds nothing live: the call's stack map leaves it out, and
+  // the call's result takes it. Under GC stress every call collects and
+  // poisons what the map leaves out, so a wrong map shows as a wrong
+  // result.
+  CodegenTester T("function mk(p, i) { return [p[1], p[0] + i]; }"
+                  "function f(n) { var s = [1, 2];"
+                  "  for (var i = 0; i < n; i++) s = mk(s, i);"
+                  "  return s[0] * 1000 + s[1]; }"
+                  "for (var k = 0; k < 5; k++) f(4);");
+  auto Code = T.compile("f");
+  auto [Header, BackEdge] = loopSpan(*Code);
+  size_t Call = ~size_t(0);
+  for (size_t I = Header; I <= BackEdge; ++I)
+    if (Code->Code[I].Op == NOp::CallV)
+      Call = I;
+  ASSERT_NE(Call, ~size_t(0)) << Code->disassemble();
+  const StackMap *Map = Code->mapForPC(static_cast<uint32_t>(Call));
+  ASSERT_NE(Map, nullptr);
+  uint16_t Result = Code->Code[Call].A;
+  bool ReadBefore = false;
+  for (size_t I = Header; I < Call; ++I)
+    ReadBefore |= Code->Code[I].Op == NOp::PushArg &&
+                  Code->Code[I].A == Result;
+  EXPECT_TRUE(ReadBefore) << "the result does not reuse the dead value's "
+                             "register\n"
+                          << Code->disassemble();
+  EXPECT_EQ(std::count(Map->Live.begin(), Map->Live.end(), Result), 0)
+      << "a register dead across the call is in its stack map";
+
+  T.RT.heap().setGCStress(true);
+  T.expectMatchesInterpreter(*Code, "f", {Value::int32(50)});
+  T.RT.heap().setGCStress(false);
 }
 
 TEST(Codegen, DisassemblerProducesText) {

@@ -237,6 +237,31 @@ TEST_F(MetricsTest, FunctionProfilesMergeAndSort) {
   EXPECT_EQ(Sorted[1].first, "cold");
 }
 
+TEST_F(MetricsTest, TickTiesSortByNameNotCompileTime) {
+  metrics().enable();
+  Metrics::FunctionMetrics Slow, Fast;
+  Slow.Ticks = Fast.Ticks = 1;
+  Slow.CompileNs = 9000;
+  Fast.CompileNs = 10;
+  // "expand" compiled faster than "TimeFunc"; equal ticks must still
+  // list them by name, whatever the clock read.
+  metrics().mergeFunction("expand", Fast);
+  metrics().mergeFunction("TimeFunc", Slow);
+  auto Sorted = metrics().functionsByTicks();
+  ASSERT_EQ(Sorted.size(), 2u);
+  EXPECT_EQ(Sorted[0].first, "TimeFunc");
+  EXPECT_EQ(Sorted[1].first, "expand");
+
+  metrics().reset();
+  metrics().enable();
+  metrics().mergeFunction("expand", Slow);
+  metrics().mergeFunction("TimeFunc", Fast);
+  Sorted = metrics().functionsByTicks();
+  ASSERT_EQ(Sorted.size(), 2u);
+  EXPECT_EQ(Sorted[0].first, "TimeFunc");
+  EXPECT_EQ(Sorted[1].first, "expand");
+}
+
 // --- Snapshot round-trip through the JSON parser ---------------------------
 
 TEST_F(MetricsTest, JsonSnapshotRoundTrips) {

@@ -140,4 +140,40 @@ TEST(NativeBailSite, UnfusedGuardReportsItsOwnSlot) {
   }
 }
 
+TEST(NativeBailSite, DefInItsOwnUsesRegisterBailsBeforeWriting) {
+  // The allocator may give a def the register of a use that dies at the
+  // same instruction: `addi r1, r1, r2`. An overflow must bail with r1
+  // still holding the operand, since the snapshot may name it.
+  std::vector<NInstr> Insns = {instr(NOp::LoadParam, 1, 0, 0, 0),
+                               instr(NOp::LoadParam, 2, 0, 0, 1),
+                               instr(NOp::AddI, 1, 1, 2, 17),
+                               instr(NOp::Ret, 1)};
+  for (DispatchMode Mode : BothModes) {
+    SCOPED_TRACE(Mode == DispatchMode::Goto ? "goto" : "switch");
+    Runtime RT;
+    FunctionInfo Info;
+    NativeCode Code(&Info);
+    Code.Code = Insns;
+    std::vector<Value> Args = {Value::int32(INT32_MAX), Value::int32(1)};
+    Executor Exec(RT, Mode);
+    ExecResult Res = Exec.run(Code, Value::undefined(), Args.data(),
+                              Args.size(), /*AtOsr=*/false, nullptr, 0,
+                              nullptr, nullptr);
+    ASSERT_EQ(Res.K, ExecResult::Bailout);
+    EXPECT_EQ(Res.BailPc, 2u);
+    EXPECT_EQ(Res.BailOp, NOp::AddI);
+    EXPECT_EQ(Res.SnapshotId, 17u);
+    ASSERT_EQ(Res.RegsAtBail.size(), Code.FrameSize);
+    EXPECT_TRUE(Res.RegsAtBail[1].sameSpecializationValue(Args[0]));
+    EXPECT_TRUE(Res.RegsAtBail[2].sameSpecializationValue(Args[1]));
+
+    // Without the overflow the def lands in r1.
+    Args[0] = Value::int32(41);
+    Res = Exec.run(Code, Value::undefined(), Args.data(), Args.size(),
+                   /*AtOsr=*/false, nullptr, 0, nullptr, nullptr);
+    ASSERT_EQ(Res.K, ExecResult::Ok);
+    EXPECT_EQ(Res.Result.asInt32(), 42);
+  }
+}
+
 } // namespace
